@@ -34,8 +34,8 @@ from .kernels import (QuadratureError, fit_power_law, kernel_lr_norm,
                       theoretical_exponent)
 from .params import ModelParams, as_fraction, validate
 from .spectral import (BlowUpError, Snapshot, gaussian_field, gevrey_energy,
-                       linear_evolve, lq_norm, make_grid, riesz_apply,
-                       semilinear_solve, zero_field)
+                       linear_evolve, lq_norm, make_grid, semilinear_solve,
+                       zero_field)
 from .toolkit import duhamel_bound, duhamel_integral, faa_di_bruno_partitions
 
 __all__ = ["main"]

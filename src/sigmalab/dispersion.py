@@ -15,14 +15,26 @@ The roots are real and distinct at low frequency, complex conjugate at
 high frequency, and coalesce at rho_* = (mu^2/4)^{1/(2 sigma - 4 delta)}.
 
 The formulas above suffer catastrophic cancellation near coalescence, so
-the implementation uses the algebraically equivalent stable forms
+kernel_values evaluates the algebraically equivalent stable forms in real
+arithmetic, split by the sign of the discriminant disc = a^2 - 4 b with
+a = mu rho^{2 delta} and b = rho^{2 sigma}:
 
-    K1hat = t e^{lam2 t} phi((lam1 - lam2) t),   phi(z) = (e^z - 1)/z,
+  oscillatory band (disc < 0), w = sqrt(-disc)/2:
+    K1hat = e^{-a t/2} sin(w t)/w,
+    K0hat = e^{-a t/2} (cos(w t) + (a/2) sin(w t)/w),
+  where sin(w t)/w needs no series at coalescence: w > 0 on the band and
+  sin(x) is accurate to relative rounding for small x, so the quotient
+  tends to t as w -> 0;
+
+  real band (disc >= 0), lam1 = -2 b/(a + sqrt(disc)) (Vieta),
+  lam2 = -(a + sqrt(disc))/2, z = sqrt(disc) t:
+    K1hat = t e^{lam1 t} (1 - e^{-z})/z,
     K0hat = e^{lam2 t} - lam2 K1hat,
+  with (1 - e^{-z})/z = -expm1(-z)/z, which tends to 1 at z = 0.
 
-with phi evaluated by series for small |z|.  At z = 0 these reduce
-exactly to the confluent limits K1hat = t e^{lam t} and
-K0hat = (1 - lam t) e^{lam t} with lam = -mu rho^{2 delta}/2.
+At disc = 0 the real-band forms reduce exactly to the confluent limits
+K1hat = t e^{lam t} and K0hat = (1 - lam t) e^{lam t}, lam = -a/2.  No
+form overflows: every exponent is <= 0 and (1 - e^{-z})/z <= 1.
 
 Everything is vectorised over rho; the scalar API wraps the array core.
 """
@@ -93,6 +105,14 @@ def coalescence_radius(params: ModelParams) -> float:
     return (params.mu_f ** 2 / 4.0) ** (1.0 / expo)
 
 
+def _coefficients(rho: np.ndarray, params: ModelParams):
+    """(a, b, disc): damping a = mu rho^{2 delta}, stiffness b = rho^{2 sigma},
+    discriminant disc = a^2 - 4 b of lam^2 + a lam + b = 0."""
+    a = params.mu_f * rho ** (2.0 * params.delta_f)
+    b = rho ** (2.0 * params.sigma_f)
+    return a, b, a * a - 4.0 * b
+
+
 def _roots_arrays(rho: np.ndarray, params: ModelParams):
     """Vectorised roots: returns (lam1, lam2, disc) with lam arrays complex.
 
@@ -100,10 +120,7 @@ def _roots_arrays(rho: np.ndarray, params: ModelParams):
     distinct roots lam1 is computed through Vieta, lam1 = -2b/(a + sqrt),
     to avoid the a - sqrt cancellation when b << a^2.
     """
-    mu, sigma, delta = params.mu_f, params.sigma_f, params.delta_f
-    a = mu * rho ** (2.0 * delta)
-    b = rho ** (2.0 * sigma)
-    disc = a * a - 4.0 * b
+    a, b, disc = _coefficients(rho, params)
     sq = np.sqrt(disc.astype(complex))
     lam2 = (-a - sq) / 2.0
     denom = a + sq
@@ -116,39 +133,54 @@ def _roots_arrays(rho: np.ndarray, params: ModelParams):
     return lam1, lam2, disc
 
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Stable phi(z) = (e^z - 1)/z, phi(0) = 1, for complex arrays."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-3
-    zs = np.where(small, 0.0, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        generic = np.where(small, 1.0, (np.exp(zs) - 1.0) / np.where(small, 1.0, zs))
-    series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0
-    return np.where(small, series, generic)
+def _oscillatory_band(t: float, a: np.ndarray, disc: np.ndarray):
+    """(K0hat, K1hat) where disc < 0: the damped cos/sin form."""
+    w = 0.5 * np.sqrt(-disc)
+    theta = w * t
+    env = np.exp(-0.5 * t * a)
+    s = np.sin(theta) / w
+    k1 = env * s
+    k0 = env * (np.cos(theta) + 0.5 * a * s)
+    return k0, k1
+
+
+def _real_band(t: float, a: np.ndarray, b: np.ndarray, disc: np.ndarray):
+    """(K0hat, K1hat) where disc >= 0: real roots, lam1 by Vieta."""
+    sq = np.sqrt(disc)
+    apsq = a + sq
+    lam2 = -0.5 * apsq
+    # rho = 0 has a = b = 0; both roots vanish.
+    lam1 = np.divide(-2.0 * b, apsq, out=np.zeros_like(apsq), where=apsq > 0.0)
+    z = sq * t
+    phi = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0.0)
+    k1 = t * np.exp(lam1 * t) * phi
+    k0 = np.exp(lam2 * t) - lam2 * k1
+    return k0, k1
 
 
 def kernel_values(t: float, rho: Union[np.ndarray, float], params: ModelParams):
     """Vectorised (K0hat, K1hat) over an array of frequency magnitudes.
 
-    Returns two real float arrays of the shape of `rho`.
+    Real float64 arithmetic throughout: the oscillatory band (disc < 0)
+    uses the damped cos/sin form, the real band (disc >= 0) the Vieta
+    root and the expm1 form; see the module docstring.  Returns two real
+    float arrays of the shape of `rho`.
     """
     rho = np.asarray(rho, dtype=float)
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam1, lam2, disc = _roots_arrays(rho, params)
-    gap = lam1 - lam2
-    z = gap * t
-    # For large real z the phi form overflows before cancelling against
-    # e^{lam2 t}; there the naive difference is itself stable because
-    # e^{lam1 t} dominates e^{lam2 t} by a factor e^{z} >> 1.
-    big = z.real > 30.0
-    z_safe = np.where(big, 0.0, z)
-    k1_phi = t * np.exp(lam2 * t) * _phi(z_safe)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1_direct = (np.exp(lam1 * t) - np.exp(lam2 * t)) / np.where(big, gap, 1.0)
-    k1 = np.where(big, k1_direct, k1_phi)
-    k0 = np.exp(lam2 * t) - lam2 * k1
-    return k0.real, k1.real
+    a, b, disc = _coefficients(rho, params)
+    osc = disc < 0.0
+    if osc.all():
+        return _oscillatory_band(t, a, disc)
+    if not osc.any():
+        return _real_band(t, a, b, disc)
+    k0 = np.empty_like(rho)
+    k1 = np.empty_like(rho)
+    k0[osc], k1[osc] = _oscillatory_band(t, a[osc], disc[osc])
+    real = ~osc
+    k0[real], k1[real] = _real_band(t, a[real], b[real], disc[real])
+    return k0, k1
 
 
 def kernel_dt_values(t: float, rho: Union[np.ndarray, float], params: ModelParams):
@@ -219,8 +251,10 @@ def large_freq_factor(rho: float, params: ModelParams) -> float:
 def kernel_hat_oscillatory(t: float, rho: float, params: ModelParams) -> KernelPair:
     """High-frequency closed trigonometric form of the kernels.
 
-    Valid for rho above the coalescence radius; used as an independent
-    cross-check of kernel_hat on the oscillatory band.
+    Valid for rho above the coalescence radius.  kernel_values evaluates
+    the same cos/sin form on its oscillatory band, so agreement with
+    kernel_hat is a consistency check only; the independent check of the
+    kernels is the 50-digit mpmath oracle in tests/test_dispersion.py.
     """
     mu, sigma, delta = params.mu_f, params.sigma_f, params.delta_f
     f = large_freq_factor(rho, params)

@@ -28,7 +28,7 @@ from math import floor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, jv
+from scipy.special import gamma as gamma_fn, j0, jv
 
 from .dispersion import cutoff_chi, kernel_values
 from .params import ModelParams, as_fraction
@@ -82,24 +82,29 @@ class DecayFit:
 def bessel_tilde(mu: float, s):
     """Jt_mu(s) = J_mu(s)/s^mu for mu >= -1/2; finite as s -> 0.
 
-    Accepts scalars or arrays with s > 0 (the s -> 0 limit
-    1/(2^mu Gamma(mu+1)) is substituted below s = 1e-8).
+    Accepts scalars or arrays with s >= 0 (the s -> 0 limit
+    1/(2^mu Gamma(mu+1)) is substituted below s = 1e-8).  Order 0, the
+    n = 2 transform kernel, is scipy's j0 itself: J_0 is finite at 0 and
+    rounds to its limit 1 below s = 1e-8, so it needs no substitution.
     """
     if mu < -0.5:
         raise ValueError("order must be >= -1/2")
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
-        raise ValueError("s must be > 0")
-    tiny = s_arr < 1e-8
-    s_safe = np.where(tiny, 1.0, s_arr)
-    if mu == -0.5:
-        vals = np.sqrt(2.0 / np.pi) * np.cos(s_safe)
-    elif mu == 0.5:
-        vals = np.sqrt(2.0 / np.pi) * np.sin(s_safe) / s_safe
+        raise ValueError("s must be >= 0")
+    if mu == 0.0:
+        vals = j0(s_arr)
     else:
-        vals = jv(mu, s_safe) / s_safe ** mu
-    limit = 1.0 / (2.0 ** mu * gamma_fn(mu + 1.0))
-    vals = np.where(tiny, limit, vals)
+        tiny = s_arr < 1e-8
+        s_safe = np.where(tiny, 1.0, s_arr)
+        if mu == -0.5:
+            vals = np.sqrt(2.0 / np.pi) * np.cos(s_safe)
+        elif mu == 0.5:
+            vals = np.sqrt(2.0 / np.pi) * np.sin(s_safe) / s_safe
+        else:
+            vals = jv(mu, s_safe) / s_safe ** mu
+        limit = 1.0 / (2.0 ** mu * gamma_fn(mu + 1.0))
+        vals = np.where(tiny, limit, vals)
     if np.isscalar(s):
         return float(vals)
     return vals

@@ -1,10 +1,11 @@
 """Characteristic roots, multiplier kernels and pointwise envelopes."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalab.dispersion import (RootRegime, characteristic_roots,
+from sigmalab.dispersion import (RootRegime, _roots_arrays, characteristic_roots,
                                  coalescence_radius, cutoff_chi, kernel_dt_values,
                                  kernel_hat, kernel_hat_dt,
                                  kernel_hat_oscillatory, kernel_values,
@@ -13,6 +14,77 @@ from sigmalab.params import ModelParams
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1)
 P_SET1 = ModelParams.make(sigma=2, delta="9/10", mu=1)
+
+
+def _phi(z):
+    """Stable phi(z) = (e^z - 1)/z, phi(0) = 1, for complex arrays."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-3
+    zs = np.where(small, 0.0, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        generic = np.where(small, 1.0, (np.exp(zs) - 1.0) / np.where(small, 1.0, zs))
+    series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0
+    return np.where(small, series, generic)
+
+
+def reference_kernel_values(t, rho, params):
+    """The complex-arithmetic evaluator that kernel_values replaced, kept
+    as its reference: K1hat = t e^{lam2 t} phi((lam1 - lam2) t) and
+    K0hat = e^{lam2 t} - lam2 K1hat with complex roots."""
+    rho = np.asarray(rho, dtype=float)
+    lam1, lam2, _ = _roots_arrays(rho, params)
+    gap = lam1 - lam2
+    z = gap * t
+    big = z.real > 30.0
+    z_safe = np.where(big, 0.0, z)
+    k1_phi = t * np.exp(lam2 * t) * _phi(z_safe)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1_direct = (np.exp(lam1 * t) - np.exp(lam2 * t)) / np.where(big, gap, 1.0)
+    k1 = np.where(big, k1_direct, k1_phi)
+    k0 = np.exp(lam2 * t) - lam2 * k1
+    return k0.real, k1.real
+
+
+def mp_kernel_values(t, rho, params):
+    """(K0hat, K1hat) and their envelopes at 50 digits from the root formulas.
+
+    The envelopes bound the magnitudes independently of oscillation
+    zeros: e^{Re(lam1) t} for K0hat and that times min(t, 1/|lam1 - lam2|)
+    for K1hat.
+    """
+    def frac(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(50):
+        t, rho = mpmath.mpf(t), mpmath.mpf(rho)
+        a = frac(params.mu) * rho ** (2 * frac(params.delta))
+        b = rho ** (2 * frac(params.sigma))
+        disc = a * a - 4 * b
+        if disc == 0:
+            lam = -a / 2
+            e = mpmath.exp(lam * t)
+            k0, k1, env1 = (1 - lam * t) * e, t * e, t
+        else:
+            sq = mpmath.sqrt(mpmath.mpc(disc))
+            lam, lam2 = (-a + sq) / 2, (-a - sq) / 2
+            e1, e2 = mpmath.exp(lam * t), mpmath.exp(lam2 * t)
+            k0 = (lam * e2 - lam2 * e1) / (lam - lam2)
+            k1 = (e1 - e2) / (lam - lam2)
+            env1 = min(t, 1 / abs(lam - lam2))
+        env0 = mpmath.exp(mpmath.re(lam) * t)
+        return ((float(mpmath.re(k0)), float(mpmath.re(k1))),
+                (float(env0), float(env0 * env1)))
+
+
+def oracle_lattice(params):
+    """rho from 0 through the real band, straddling rho_* at relative
+    offsets 1e-3, 1e-6 and 1e-9, and through the oscillatory band to 1e3."""
+    rho_star = coalescence_radius(params)
+    rhos = [0.0, *np.geomspace(1e-6, 0.9 * rho_star, 7), rho_star,
+            *np.geomspace(1.1 * rho_star, 1e3, 8)]
+    for eps in (1e-3, 1e-6, 1e-9):
+        rhos += [rho_star * (1.0 - eps), rho_star * (1.0 + eps)]
+    return np.sort(np.array(rhos))
 
 
 class TestRoots:
@@ -115,6 +187,61 @@ class TestKernels:
         assert abs(k0[0]) <= 1.0 + 1e-9
         # |K1| <= t always (integral of a bounded oscillation)
         assert abs(k1[0]) <= t * (1.0 + 1e-9)
+
+
+class TestAgainstReferences:
+    T_VALUES = (0.0, 1e-3, 0.05, 0.5, 1.0, 5.0, 20.0)
+
+    @staticmethod
+    def rho_grid(params):
+        rho_star = coalescence_radius(params)
+        return np.concatenate([
+            np.linspace(0.0, 3.0, 3001), np.geomspace(1e-8, 1e3, 2001),
+            rho_star * (1.0 + np.geomspace(1e-12, 1e-2, 41)),
+            rho_star * (1.0 - np.geomspace(1e-12, 1e-2, 41))])
+
+    def test_matches_complex_reference(self):
+        # Tolerance fixed from float64 rounding before the rewrite was
+        # measured: 1e-12 relative, 1e-13 absolute on O(1) values.
+        for params in (P_SMALL, P_SET1):
+            rho = self.rho_grid(params)
+            mu_fac = params.mu_f * rho ** (2 * params.delta_f)
+            stiff = rho ** (2 * params.sigma_f)
+            for t in self.T_VALUES:
+                ref0, ref1 = reference_kernel_values(t, rho, params)
+                k0, k1 = kernel_values(t, rho, params)
+                np.testing.assert_allclose(k0, ref0, rtol=1e-12, atol=1e-13)
+                np.testing.assert_allclose(k1, ref1, rtol=1e-12, atol=1e-13)
+                d0, d1 = kernel_dt_values(t, rho, params)
+                np.testing.assert_allclose(d0, -stiff * ref1, rtol=1e-12, atol=1e-13)
+                np.testing.assert_allclose(d1, ref0 - mu_fac * ref1,
+                                           rtol=1e-12, atol=1e-13)
+
+    def test_plain_float_rho(self):
+        rho_star = coalescence_radius(P_SMALL)
+        for rho in (0.0, 0.5 * rho_star, rho_star, 2.0 * rho_star, 7.0):
+            k0, k1 = kernel_values(0.7, rho, P_SMALL)
+            ref0, ref1 = reference_kernel_values(0.7, rho, P_SMALL)
+            assert np.shape(k0) == np.shape(k1) == ()
+            assert float(k0) == pytest.approx(float(ref0), rel=1e-12, abs=1e-13)
+            assert float(k1) == pytest.approx(float(ref1), rel=1e-12, abs=1e-13)
+
+    def test_mpmath_oracle(self):
+        # Relative error against the 50-digit values, measured against the
+        # larger of |exact| and the envelope so that oscillation zeros do
+        # not inflate it; envelopes below 1e-300 (float64 underflow) count
+        # absolutely.  The complex evaluator measured 4.1e-13 here.
+        worst = 0.0
+        for params in (P_SMALL, P_SET1):
+            rhos = oracle_lattice(params)
+            for t in (0.0, 0.01, 0.1, 1.0, 5.0):
+                k0, k1 = kernel_values(t, rhos, params)
+                for i, rho in enumerate(rhos):
+                    exact, env = mp_kernel_values(t, rho, params)
+                    for got, want, size in zip((k0[i], k1[i]), exact, env):
+                        denom = max(abs(want), size, 1e-300)
+                        worst = max(worst, abs(got - want) / denom)
+        assert worst <= 1.3e-12
 
 
 class TestOscillatoryForm:

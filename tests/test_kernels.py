@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from sigmalab.kernels import (QuadConfig, QuadratureError, bessel_tilde,
                               fit_power_law, kernel_l1_norm, kernel_lr_norm,
@@ -31,6 +32,16 @@ class TestBesselTilde:
         assert bessel_tilde(0.5, 1e-12) == pytest.approx(
             math.sqrt(2 / math.pi), rel=1e-9)
         assert bessel_tilde(0.0, 1e-12) == pytest.approx(1.0, rel=1e-9)
+
+    def test_order_zero_matches_jv(self):
+        s = np.concatenate([S_GRID, np.geomspace(1e-12, 1e-4, 33), [0.0]])
+        np.testing.assert_allclose(bessel_tilde(0.0, s), jv(0, s), rtol=0, atol=1e-14)
+        for v in s:
+            assert abs(bessel_tilde(0.0, float(v)) - jv(0, v)) <= 1e-14
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            bessel_tilde(0.0, -1.0)
 
     def test_three_term_recurrence(self):
         # Combining the two derivative identities eliminates the
