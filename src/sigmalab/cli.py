@@ -407,6 +407,8 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
         return EXIT_NONCONV
+    except ValueError as exc:
+        raise ConfigError(f"evolve: {exc}") from exc
     rows = []
     for snap in traj.snapshots:
         row = {**_params_cells(params), "t": snap.t}

@@ -90,6 +90,22 @@ class TestToolkitCommand:
         assert "bell" in text and "duhamel" in text
 
 
+class TestEvolveCommand:
+    def test_non_integer_step_count_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[model]\nsigma = 1\ndelta = 1/4\nmu = 1\nn = 1\nq = 2\nm = 1\n"
+            "p = 3\n[grid]\nL = 20\nN = 64\n"
+            "[time]\nt_end = 1\ndt = 0.3\nstore_every = 1\n"
+            "[evolve]\nnonlinearity = abs_u_p\n")
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config error" in err and "integer" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "evolve.csv").exists()
+
+
 class TestKernelNormCommand:
     def test_strict_small_t_overclaim_fails(self, tmp_path):
         # The high-band t -> 0 L^1 norm of the first kernel stays O(1);

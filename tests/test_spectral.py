@@ -5,14 +5,82 @@ import math
 import numpy as np
 import pytest
 
-from sigmalab.dispersion import kernel_hat, kernel_hat_dt
+from sigmalab.dispersion import (kernel_dt_values, kernel_hat, kernel_hat_dt,
+                                 kernel_values)
 from sigmalab.params import ModelParams
-from sigmalab.spectral import (BlowUpError, Field, Snapshot, gaussian_field,
-                               gevrey_energy, linear_evolve, load_field,
-                               lq_norm, make_grid, riesz_apply,
+from sigmalab.spectral import (BlowUpError, Field, Snapshot, Trajectory,
+                               _irfft, _pad_half, _parseval_l2, _truncate_half,
+                               gaussian_field, gevrey_energy, linear_evolve,
+                               load_field, lq_norm, make_grid, riesz_apply,
                                semilinear_solve, write_norms_csv, zero_field)
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the complex full-spectrum stepper that semilinear_solve replaced.
+# It pads with fftshift + np.pad, carries complex fftn spectra and monitors
+# the norm with an inverse FFT per step.
+# ---------------------------------------------------------------------------
+
+def _pad_spectrum(v, factor=1.5):
+    N = v.shape[0]
+    M = int(round(N * factor))
+    M += M % 2
+    pad = (M - N) // 2
+    padded = np.pad(np.fft.fftshift(v), [(pad, pad)] * v.ndim)
+    return np.fft.ifftshift(padded) * (M / N) ** v.ndim
+
+
+def _truncate_spectrum(v, N):
+    M = v.shape[0]
+    pad = (M - N) // 2
+    sl = tuple(slice(pad, pad + N) for _ in range(v.ndim))
+    return np.fft.ifftshift(np.fft.fftshift(v)[sl]) * (N / M) ** v.ndim
+
+
+def _nonlinearity_spectrum(v, p, dealias):
+    if dealias:
+        u = np.fft.ifftn(_pad_spectrum(v))
+        return _truncate_spectrum(np.fft.fftn(np.abs(u) ** p), v.shape[0])
+    return np.fft.fftn(np.abs(np.fft.ifftn(v)) ** p)
+
+
+def reference_semilinear_solve(data, params, nonlinearity, t_end, dt,
+                               store_every=1, norm_ceiling=1e6, ceiling_q=2.0):
+    grid = data.u.grid
+    rho = grid.rho
+    p = float(params.p) if params.p is not None else 0.0
+    dealias = nonlinearity != "none" and p == int(p)
+    k0_h, k1_h = kernel_values(dt / 2.0, rho, params)
+    dk0_h, dk1_h = kernel_dt_values(dt / 2.0, rho, params)
+    k0_f, k1_f = kernel_values(dt, rho, params)
+    dk0_f, dk1_f = kernel_dt_values(dt, rho, params)
+    v = data.u.to_spectral().values.copy()
+    vt = data.ut.to_spectral().values.copy()
+    snapshots = [Snapshot(data.t, Field(grid, v.copy(), "spectral"),
+                          Field(grid, vt.copy(), "spectral"))]
+    steps = int(round(t_end / dt))
+    for step in range(1, steps + 1):
+        if nonlinearity == "none":
+            v, vt = k0_f * v + k1_f * vt, dk0_f * v + dk1_f * vt
+        else:
+            v_half = k0_h * v + k1_h * vt
+            vt_half = dk0_h * v + dk1_h * vt
+            source = v_half if nonlinearity == "abs_u_p" else vt_half
+            f_mid = _nonlinearity_spectrum(source, p, dealias)
+            v_new = k0_f * v + k1_f * vt + dt * k1_h * f_mid
+            vt_new = dk0_f * v + dk1_f * vt + dt * dk1_h * f_mid
+            v, vt = v_new, vt_new
+        t = data.t + step * dt
+        norm = lq_norm(Field(grid, v, "spectral"), ceiling_q)
+        if not np.isfinite(norm) or norm > norm_ceiling:
+            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
+                              ceiling=norm_ceiling)
+        if step % store_every == 0 or step == steps:
+            snapshots.append(Snapshot(t, Field(grid, v.copy(), "spectral"),
+                                      Field(grid, vt.copy(), "spectral")))
+    return Trajectory(snapshots=tuple(snapshots), params=params)
 
 
 def plane_wave_snapshot(grid, k_index):
@@ -118,6 +186,139 @@ class TestSemilinear:
         snap = Snapshot(0.0, gaussian_field(grid), zero_field(grid))
         with pytest.raises(ValueError):
             semilinear_solve(snap, P_SMALL, "abs_u_p", t_end=1.0, dt=0.1)
+
+
+#: (L, N, amplitude) per dimension for the reference comparison.  The
+#: reference keeps only the -N/2 rows when it truncates the padded
+#: product, which leaves a non-Hermitian Nyquist component as large as
+#: the forcing's Nyquist content, and it puts modes on the Nyquist row of
+#: two axes at one corner only; neither has a real counterpart.  For
+#: |u_t|^p with sign-changing u_t that content decays only algebraically,
+#: so the grids resolve the data and the amplitudes keep the forcing small
+#: enough for the two steppers to agree to 1e-12.
+REFERENCE_CASES = {1: (20.0, 256, 1.0), 2: (16.0, 64, 0.1), 3: (8.0, 32, 0.05)}
+
+
+def assert_same_field(new, ref):
+    """new (real physical) against ref's real part, to 1e-12 of max |ref|."""
+    ref_values = ref.to_physical().values
+    np.testing.assert_allclose(
+        new.to_physical().values, ref_values.real, rtol=1e-12,
+        atol=1e-12 * np.max(np.abs(ref_values)))
+
+
+class TestRealStepper:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nonlinearity", ["abs_u_p", "abs_ut_p", "none"])
+    @pytest.mark.parametrize("p", [3, 2.5])
+    def test_matches_complex_reference(self, n, nonlinearity, p):
+        L, N, amplitude = REFERENCE_CASES[n]
+        grid = make_grid(n, L, N)
+        params = P_SMALL.with_(n=n, p=p)
+        snap = Snapshot(0.0, gaussian_field(grid, amplitude, 1.5),
+                        gaussian_field(grid, 0.5 * amplitude, 2.0))
+        new = semilinear_solve(snap, params, nonlinearity, t_end=1.0, dt=0.1)
+        ref = reference_semilinear_solve(snap, params, nonlinearity,
+                                         t_end=1.0, dt=0.1)
+        assert len(new.snapshots) == len(ref.snapshots) == 11
+        for a, b in zip(new.snapshots, ref.snapshots):
+            assert a.t == b.t
+            assert a.u.values.dtype == a.ut.values.dtype == np.float64
+            assert_same_field(a.u, b.u)
+            assert_same_field(a.ut, b.ut)
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, math.inf])
+    def test_blowup_matches_complex_reference(self, q):
+        grid = make_grid(1, 40.0, 512)
+        params = P_SMALL.with_(p=3)
+        snap = Snapshot(0.0, gaussian_field(grid, 2.0), zero_field(grid))
+        ceiling = 20.0 * lq_norm(snap.u, q)
+        errors = []
+        for solve in (semilinear_solve, reference_semilinear_solve):
+            with pytest.raises(BlowUpError) as exc:
+                solve(snap, params, "abs_u_p", t_end=4.0, dt=0.1,
+                      norm_ceiling=ceiling, ceiling_q=q)
+            errors.append(exc.value)
+        new, ref = errors
+        assert 0.0 < new.t == ref.t < 4.0
+        assert new.norm == pytest.approx(ref.norm, rel=1e-12)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    def test_parseval_monitor_equals_lq_norm(self, n, N):
+        grid = make_grid(n, 5.0, N)
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal((N,) * n),
+                       gaussian_field(grid, 0.7, 1.2).values):
+            field = Field(grid, values, "physical")
+            monitor = _parseval_l2(np.fft.rfftn(values), grid)
+            assert monitor == pytest.approx(lq_norm(field, 2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_resampling_matches_full_spectrum_real_part(self, n):
+        # White noise puts O(1) content on every Nyquist row, so dropping
+        # the split or the average fails by O(1).  Modes on the Nyquist
+        # row of two or more axes are removed: the full-spectrum pad and
+        # truncation treat those asymmetrically.
+        N, M = 16, 24
+        rng = np.random.default_rng(n)
+
+        def without_nyquist_corners(size):
+            spec = np.fft.fftn(rng.standard_normal((size,) * n))
+            on_row = np.abs(np.fft.fftfreq(size, 1.0 / size)) == N // 2
+            rows = np.meshgrid(*([on_row] * n), indexing="ij")
+            spec[sum(r.astype(int) for r in rows) >= 2] = 0.0
+            return np.fft.ifftn(spec).real
+
+        coarse, fine = without_nyquist_corners(N), without_nyquist_corners(M)
+        zeros = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+        padded = _irfft(_pad_half(np.fft.rfftn(coarse), zeros), M)
+        expected = np.fft.ifftn(_pad_spectrum(np.fft.fftn(coarse))).real
+        np.testing.assert_allclose(padded, expected, rtol=0, atol=1e-14)
+        truncated = _irfft(_truncate_half(np.fft.rfftn(fine), N), N)
+        expected = np.fft.ifftn(_truncate_spectrum(np.fft.fftn(fine), N)).real
+        np.testing.assert_allclose(truncated, expected, rtol=0, atol=1e-14)
+
+    def test_rejects_complex_data(self):
+        grid = make_grid(1, 20.0, 64)
+        u = Field(grid, gaussian_field(grid).values * (1.0 + 1e-3j),
+                  "physical")
+        with pytest.raises(ValueError, match="imaginary"):
+            semilinear_solve(Snapshot(0.0, u, zero_field(grid)), P_SMALL,
+                             "none", t_end=1.0, dt=0.1)
+
+    def test_data_constructors_are_real(self):
+        grid = make_grid(2, 10.0, 16)
+        assert gaussian_field(grid).values.dtype == np.float64
+        assert zero_field(grid).values.dtype == np.float64
+
+    def test_rejects_non_integer_step_count(self):
+        grid = make_grid(1, 20.0, 64)
+        snap = Snapshot(0.0, gaussian_field(grid), zero_field(grid))
+        with pytest.raises(ValueError, match="integer"):
+            semilinear_solve(snap, P_SMALL, "none", t_end=1.0, dt=0.3)
+        # The shipped preset and the benchmark's step sizes stay valid.
+        for t_end, dt in [(6.0, 0.05), (0.5, 0.05), (200.0, 0.1)]:
+            steps = len(semilinear_solve(snap, P_SMALL, "none", t_end, dt,
+                                         store_every=10**6).snapshots)
+            assert steps == 2
+
+    @pytest.mark.parametrize("nonlinearity,order", [("abs_u_p", 1.8),
+                                                    ("abs_ut_p", 0.9)])
+    def test_observed_order(self, nonlinearity, order):
+        # Successive differences of the t = 4 state as dt halves from 0.2
+        # give two order estimates per component.
+        grid = make_grid(1, 20.0, 512)
+        params = P_SMALL.with_(p=3)
+        snap = Snapshot(0.0, gaussian_field(grid, 1.0), zero_field(grid))
+        finals = [semilinear_solve(snap, params, nonlinearity, t_end=4.0,
+                                   dt=dt, store_every=10**6).snapshots[-1]
+                  for dt in (0.2, 0.1, 0.05, 0.025)]
+        for part in ("u", "ut"):
+            diffs = [np.linalg.norm(getattr(a, part).values
+                                    - getattr(b, part).values)
+                     for a, b in zip(finals, finals[1:])]
+            orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
+            assert min(orders) >= order, (part, orders)
 
 
 class TestNormsAndOperators:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigmalab.toolkit import (composite_derivative, duhamel_bound,
                               duhamel_integral, faa_di_bruno_partitions)
@@ -63,13 +63,67 @@ class TestDuhamelBound:
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0),
            st.sampled_from([1.0, 10.0, 100.0, 1000.0]))
+    @example(0.0, 0.0, 1000.0)      # I = U
+    @example(1.0, 0.5, 1000.0)      # log branch
+    @example(1.0, 1.0, 10.0)
+    @example(1.0, 3.0, 100.0)       # lo = 1 < hi
+    @example(0.9375, 0.9375, 1000.0)
+    @example(3.0, 3.0, 1000.0)
     def test_bound_dominates_integral_up_to_constant(self, alpha, beta, t):
-        # The lemma asserts I(t) <= C * bound(t); the constant depends on
-        # the exponents but stays moderate on this lattice (largest ratio
-        # occurs just above the min(alpha, beta) = 1 boundary).
+        """I(t) <= U(t) <= C(alpha, beta) * duhamel_bound(alpha, beta, t).
+
+        Majorant.  Split I at t/2 and let h = 1 + t/2.  On [0, t/2] the
+        first factor is at most h^-alpha; on [t/2, t] (substitute
+        s = t - tau) the second is at most h^-beta.  Hence
+        I <= U = h^-alpha J_beta(t/2) + h^-beta J_alpha(t/2), with
+        J_g(x) = int_0^x (1 + s)^-g ds, and U = I = t at alpha = beta = 0.
+
+        Constant.  h <= 1 + t <= 2h gives h^-a <= 2^a (1 + t)^-a for
+        a >= 0.  Also J_g(x) <= (1 + x)^(1-g) / (1 - g) for g < 1,
+        J_g(x) <= 1 / (g - 1) for g > 1, and
+        J_g(x) <= (1 + x)^max(1-g, 0) log(1 + x) for every g.  U is
+        symmetric, so let lo = min, hi = max of (alpha, beta):
+        - hi < 1: h^-alpha J_beta <= h^-alpha h^(1-beta) / (1 - beta),
+          so C = 2^alpha / (1 - beta) + 2^beta / (1 - alpha).
+        - hi = 1: each term is at most h^-lo log h, and
+          log h <= log(2 + t), so C = 2^(1 + lo).
+        - hi > 1: h^-lo J_hi <= h^-lo / (hi - 1); h^-hi J_lo is at most
+          h^-lo / |lo - 1| for lo != 1, and h^-1 h^(1-hi) log h
+          <= h^-1 / (e (hi - 1)) for lo = 1.  So
+          C = 2^lo (1 / (hi - 1) + 1 / |lo - 1|), with e (hi - 1) in
+          place of |lo - 1| when lo = 1.
+        The first inequality allows the quadrature's 1e-8; the second
+        is exact arithmetic on both sides.
+        """
         integral = duhamel_integral(alpha, beta, t)
-        bound = duhamel_bound(alpha, beta, t)
-        assert integral <= 10.0 * bound
+        majorant = duhamel_majorant(alpha, beta, t)
+        assert integral <= (1.0 + 1e-8) * majorant
+        constant = duhamel_constant(alpha, beta)
+        assert majorant <= constant * duhamel_bound(alpha, beta, t)
+
+
+def partial_power_integral(g, x):
+    """J_g(x) = int_0^x (1 + s)^-g ds in closed form."""
+    if g == 1.0:
+        return math.log1p(x)
+    return math.expm1((1.0 - g) * math.log1p(x)) / (1.0 - g)
+
+
+def duhamel_majorant(alpha, beta, t):
+    h = 1.0 + t / 2.0
+    return (h ** -alpha * partial_power_integral(beta, t / 2.0)
+            + h ** -beta * partial_power_integral(alpha, t / 2.0))
+
+
+def duhamel_constant(alpha, beta):
+    """C(alpha, beta) of each duhamel_bound branch, derived above."""
+    lo, hi = min(alpha, beta), max(alpha, beta)
+    if hi < 1.0:
+        return 2.0 ** alpha / (1.0 - beta) + 2.0 ** beta / (1.0 - alpha)
+    if hi == 1.0:
+        return 2.0 ** (1.0 + lo)
+    near = math.e * (hi - 1.0) if lo == 1.0 else abs(lo - 1.0)
+    return 2.0 ** lo * (1.0 / (hi - 1.0) + 1.0 / near)
 
 
 class TestPartitions:
