@@ -33,9 +33,9 @@ from .admissibility import AdmissibleInterval, TheoremId, admissible_interval
 from .kernels import (QuadratureError, fit_power_law, kernel_lr_norm,
                       theoretical_exponent)
 from .params import ModelParams, as_fraction, validate
-from .spectral import (BlowUpError, Snapshot, gaussian_field, gevrey_energy,
-                       linear_evolve, lq_norm, make_grid, semilinear_solve,
-                       zero_field)
+from .spectral import (BlowUpError, Snapshot, TorusGrid, gaussian_field,
+                       gevrey_energy, linear_evolve, lq_norm, make_grid,
+                       semilinear_solve, zero_field)
 from .toolkit import duhamel_bound, duhamel_integral, faa_di_bruno_partitions
 
 __all__ = ["main"]
@@ -117,6 +117,25 @@ def _get(section: dict[str, str], key: str, conv: Callable, default=None):
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
+def _grid_from(section: dict[str, str], n: int, default_L: float,
+               default_N: int) -> TorusGrid:
+    L = _get(section, "L", float, default_L)
+    N = _get(section, "N", int, default_N)
+    try:
+        return make_grid(n, L, N)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
+
+
+def _check_fit_window(where: str, t_min: float, t_max: float,
+                      points: int) -> None:
+    """Reject a time window that the power-law fit cannot use."""
+    if not 0 < t_min < t_max:
+        raise ConfigError(f"{where}: need 0 < t_min < t_max")
+    if points < 5:
+        raise ConfigError(f"{where}: points must be >= 5 for the power-law fit")
+
+
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
@@ -172,7 +191,11 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
             entries = cfg[section]
             if "theorem" not in entries:
                 raise ConfigError(f"section [{section}] needs a theorem key")
-            theorem = TheoremId(entries["theorem"])
+            try:
+                theorem = TheoremId(entries["theorem"])
+            except ValueError as exc:
+                raise ConfigError(f"unknown theorem {entries['theorem']!r} "
+                                  f"in section [{section}]") from exc
             cases.append((section[5:], theorem, _model_from(cfg, entries)))
     else:
         names = [t.strip() for t in
@@ -249,11 +272,11 @@ def cmd_decay_fit(cfg, out_dir, strict, tol) -> int:
     params = _model_from(cfg)
     grid_sec, time_sec = cfg.get("grid", {}), cfg.get("time", {})
     data_sec, fit_sec = cfg.get("data", {}), cfg.get("fit", {})
-    grid = make_grid(params.n, _get(grid_sec, "L", float, 400.0),
-                     _get(grid_sec, "N", int, 2 ** 15))
+    grid = _grid_from(grid_sec, params.n, 400.0, 2 ** 15)
     t_min = _get(time_sec, "t_min", float, 10.0)
     t_max = _get(time_sec, "t_max", float, 500.0)
     points = _get(time_sec, "points", int, 9)
+    _check_fit_window("decay-fit", t_min, t_max, points)
     amplitude = _get(data_sec, "amplitude", float, 1.0)
     width = _get(data_sec, "width", float, 1.0)
     which = _get(data_sec, "which", str, "u0")
@@ -320,26 +343,42 @@ def _sweep_theory(which: str, a: Fraction, regime: str, r: Fraction,
     return theoretical_exponent(which, a, regime, r, params)
 
 
+def _sweep_from(name: str, sec: dict[str, str]) -> tuple:
+    """(which, band, a, r, regime, t_min, t_max, points) of one
+    [sweep NAME] section, every value checked before any norm is computed."""
+    which = _get(sec, "which", str)
+    band = _get(sec, "band", str, "full")
+    a = _get(sec, "a", as_fraction, Fraction(0))
+    r = _get(sec, "r", as_fraction, Fraction(1))
+    regime = _get(sec, "regime", str)
+    t_min = _get(sec, "t_min", float)
+    t_max = _get(sec, "t_max", float)
+    points = _get(sec, "points", int, 7)
+    for ok, message in [
+            (which in ("K0", "K1"), "which must be K0 or K1"),
+            (band in ("low", "high", "full"), "band must be low, high or full"),
+            (regime in ("small_t", "large_t"), "regime must be small_t or large_t"),
+            (r >= 1, "r must be >= 1")]:
+        if not ok:
+            raise ConfigError(f"sweep {name!r}: {message}")
+    _check_fit_window(f"sweep {name!r}", t_min, t_max, points)
+    return which, band, a, r, regime, t_min, t_max, points
+
+
 def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
     sweep_keys = ("which", "a", "band", "r", "regime",
                   "t_min", "t_max", "points")
     _check_sections(cfg, {"model": _MODEL_KEYS}, prefixes={"sweep": sweep_keys})
     params = _model_from(cfg)
-    sweeps = [s for s in cfg if s.startswith("sweep ")]
+    if params.n not in (1, 2, 3):
+        raise ConfigError(f"kernel-norm supports n = 1, 2 or 3, not n = {params.n}")
+    sweeps = [(s[6:], _sweep_from(s[6:], cfg[s]))
+              for s in cfg if s.startswith("sweep ")]
     if not sweeps:
         raise ConfigError("no [sweep NAME] sections configured")
     tolerance = tol if tol is not None else 0.15
     rows, failures = [], 0
-    for section in sweeps:
-        sec = cfg[section]
-        which = _get(sec, "which", str)
-        band = _get(sec, "band", str, "full")
-        a = _get(sec, "a", as_fraction, Fraction(0))
-        r = _get(sec, "r", as_fraction, Fraction(1))
-        regime = _get(sec, "regime", str)
-        t_min = _get(sec, "t_min", float)
-        t_max = _get(sec, "t_max", float)
-        points = _get(sec, "points", int, 7)
+    for name, (which, band, a, r, regime, t_min, t_max, points) in sweeps:
         times = np.geomspace(t_min, t_max, points)
         try:
             samples = [(float(t), kernel_lr_norm(which, float(a), float(t),
@@ -348,7 +387,7 @@ def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
                        for t in times]
             fit = fit_power_law(samples, (t_min, t_max))
         except QuadratureError as exc:
-            print(f"kernel-norm sweep {section[6:]!r}: {exc}", file=sys.stderr)
+            print(f"kernel-norm sweep {name!r}: {exc}", file=sys.stderr)
             return EXIT_NONCONV
         theory = _sweep_theory(which, a, regime, r, band, params)
         if theory is None:
@@ -360,7 +399,7 @@ def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
             rel_err = abs(fit.exponent - float(theory)) / abs(float(theory))
             ok = rel_err <= tolerance
         failures += not ok
-        rows.append({"sweep": section[6:], **_params_cells(params),
+        rows.append({"sweep": name, **_params_cells(params),
                      "which": which, "band": band, "a": a, "r": r,
                      "regime": regime, "t_min": t_min, "t_max": t_max,
                      "fitted": fit.exponent, "theoretical": theory,
@@ -386,17 +425,19 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
     params = _model_from(cfg)
     grid_sec, time_sec = cfg.get("grid", {}), cfg.get("time", {})
     data_sec, ev_sec = cfg.get("data", {}), cfg.get("evolve", {})
-    grid = make_grid(params.n, _get(grid_sec, "L", float, 100.0),
-                     _get(grid_sec, "N", int, 1024))
+    grid = _grid_from(grid_sec, params.n, 100.0, 1024)
     t_end = _get(time_sec, "t_end", float, 200.0)
     dt = _get(time_sec, "dt", float, 0.1)
     store_every = _get(time_sec, "store_every", int, 10)
     amplitude = _get(data_sec, "amplitude", float, 1e-3)
     width = _get(data_sec, "width", float, 1.0)
     nonlinearity = _get(ev_sec, "nonlinearity", str, "none")
-    q_list = [float(Fraction(q)) for q in
-              _get(ev_sec, "q_list", str, "2").split(",")]
+    q_list = _get(ev_sec, "q_list",
+                  lambda text: [float(Fraction(q)) for q in text.split(",")],
+                  [2.0])
     ceiling = _get(ev_sec, "ceiling", float, 1e6)
+    if min(q_list) < 1:
+        raise ConfigError("evolve: every q in q_list must be >= 1")
 
     data = Snapshot(t=0.0, u=gaussian_field(grid, amplitude=amplitude,
                                             width=width),
@@ -432,8 +473,7 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     params = _model_from(cfg)
     grid_sec, data_sec = cfg.get("grid", {}), cfg.get("data", {})
     gv = cfg.get("gevrey", {})
-    grid = make_grid(params.n, _get(grid_sec, "L", float, 100.0),
-                     _get(grid_sec, "N", int, 2048))
+    grid = _grid_from(grid_sec, params.n, 100.0, 2048)
     c = _get(gv, "c", float, 0.2)
     t_max = _get(gv, "t_max", float, 10.0)
     points = _get(gv, "points", int, 21)
@@ -469,11 +509,18 @@ def cmd_toolkit(cfg, out_dir, strict, tol) -> int:
     })
     sec = cfg.get("toolkit", {})
     bell_max = _get(sec, "bell_max", int, 6)
-    times = [float(t) for t in
-             _get(sec, "duhamel_times", str, "10,100,1000").split(",")]
+    times = _get(sec, "duhamel_times",
+                 lambda text: [float(t) for t in text.split(",")],
+                 [10.0, 100.0, 1000.0])
     alpha_max = _get(sec, "alpha_max", float, 3.0)
     alpha_step = _get(sec, "alpha_step", float, 0.5)
     ratio_bound = _get(sec, "ratio_bound", float, 3.0)
+    if not 1 <= bell_max <= 20:
+        raise ConfigError("toolkit: bell_max must be in 1..20")
+    if not alpha_step > 0:
+        raise ConfigError("toolkit: alpha_step must be positive")
+    if not min(times) > 0:
+        raise ConfigError("toolkit: duhamel_times must be positive")
 
     rows = []
     for order in range(1, bell_max + 1):

@@ -312,21 +312,23 @@ def cutoff_chi(rho: Union[np.ndarray, float]) -> Union[np.ndarray, float]:
     """Smooth radial cutoff: 1 for rho <= 1/2, 0 for rho >= 1.
 
     Built from the standard exp(-1/x) partition of unity, so it is
-    C-infinity with a strictly monotone transition on (1/2, 1).
+    C-infinity with a strictly monotone transition on (1/2, 1).  The
+    plateaus are written as the exact values 1 and 0, and the
+    exponentials are taken only on the open interval (1/2, 1), where
+    x = 2 (1 - rho) is exact and lies strictly inside (0, 1).  NaN maps
+    to NaN.  A scalar gives a float, a 0-d array a numpy float64.
     """
     rho_arr = np.asarray(rho, dtype=float)
-    x = 2.0 * (1.0 - rho_arr)          # 1 at rho = 1/2, 0 at rho = 1
-    x = np.clip(x, 0.0, 1.0)
-
-    def bump(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        out[pos] = np.exp(-1.0 / y[pos])
-        return out
-
-    num = bump(x)
-    den = num + bump(1.0 - x)
-    chi = num / den
+    inner = rho_arr <= 0.5
+    outer = rho_arr >= 1.0
+    chi = np.array(inner, dtype=float)
+    band = ~(inner | outer)            # the transition band, and NaN
+    if band.any():
+        x = 2.0 * (1.0 - rho_arr[band])   # 1 at rho = 1/2, 0 at rho = 1
+        num = np.exp(-1.0 / x)
+        chi[band] = num / (num + np.exp(-1.0 / (1.0 - x)))
     if np.isscalar(rho):
         return float(chi)
+    if chi.ndim == 0:
+        return chi[()]
     return chi

@@ -285,6 +285,8 @@ def semilinear_solve(
     if steps < 0 or abs(t_end / dt - steps) > 1e-9 * t_end / dt:
         raise ValueError(f"t_end / dt = {t_end / dt:.12g} must be a "
                          "non-negative integer")
+    if store_every < 1:
+        raise ValueError(f"store_every = {store_every} must be >= 1")
     if nonlinearity != "none" and params.p is None:
         raise ValueError("nonlinearity requires params.p")
 

@@ -45,6 +45,27 @@ def reference_kernel_values(t, rho, params):
     return k0.real, k1.real
 
 
+def reference_cutoff_chi(rho):
+    """The cutoff that cutoff_chi replaced, kept as its reference: the
+    exp(-1/x) partition of unity evaluated on every sample, plateaus
+    included, through clip and masked gathers."""
+    rho_arr = np.asarray(rho, dtype=float)
+    x = np.clip(2.0 * (1.0 - rho_arr), 0.0, 1.0)
+
+    def bump(y):
+        out = np.zeros_like(y)
+        pos = y > 0.0
+        out[pos] = np.exp(-1.0 / y[pos])
+        return out
+
+    num = bump(x)
+    with np.errstate(invalid="ignore"):   # NaN gives 0/0 here
+        chi = num / (num + bump(1.0 - x))
+    if np.isscalar(rho):
+        return float(chi)
+    return chi
+
+
 def mp_kernel_values(t, rho, params):
     """(K0hat, K1hat) and their envelopes at 50 digits from the root formulas.
 
@@ -286,6 +307,28 @@ class TestCutoff:
         chi = cutoff_chi(rho)
         assert np.all(np.diff(chi) <= 1e-12)
         assert np.all((chi >= 0.0) & (chi <= 1.0))
+
+    def test_matches_reference_bit_for_bit(self):
+        edges = [0.5, 1.0]
+        edges += [np.nextafter(e, d) for e in (0.5, 1.0) for d in (-np.inf, np.inf)]
+        rho = np.concatenate([np.linspace(-1.0, 3.0, 40001), edges,
+                              [np.inf, -np.inf, np.nan, 0.0, -0.0]])
+        chi = cutoff_chi(rho)
+        assert chi.dtype == np.float64 and chi.shape == rho.shape
+        assert np.array_equal(chi, reference_cutoff_chi(rho), equal_nan=True)
+        # Strictly inside (1/2, 1) at the edges' neighbours, but the
+        # quotient still rounds to the plateau values there.
+        assert cutoff_chi(np.nextafter(0.5, 1.0)) == 1.0
+        assert cutoff_chi(np.nextafter(1.0, 0.0)) == 0.0
+        grid = rho[:40000].reshape(200, 200)
+        assert np.array_equal(cutoff_chi(grid), reference_cutoff_chi(grid))
+        for value in (0.25, 0.7, 0.999, 1.5, float("nan")):
+            got, want = cutoff_chi(value), reference_cutoff_chi(value)
+            assert type(got) is float
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            got, want = cutoff_chi(np.array(value)), reference_cutoff_chi(np.array(value))
+            assert type(got) is type(want) is np.float64
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_smooth_at_band_edges(self):
         # One-sided difference quotients vanish at both plateau joints.

@@ -11,6 +11,7 @@ from sigmalab.kernels import (QuadConfig, QuadratureError, bessel_tilde,
                               fit_power_law, kernel_l1_norm, kernel_lr_norm,
                               kernel_profile, radial_inverse_fourier,
                               theoretical_exponent)
+from sigmalab import kernels
 from sigmalab.kernels import _SPHERE_AREA
 from sigmalab.params import ModelParams
 
@@ -153,6 +154,23 @@ class TestKernelNorms:
     def test_invalid_r_rejected(self):
         with pytest.raises(ValueError):
             kernel_lr_norm("K0", 0.0, 1.0, 0.5, P_SMALL, 1)
+
+
+class TestDenseProfile:
+    def test_block_size_does_not_change_the_profile(self, monkeypatch):
+        # At t = 0.2 the dense path takes about 6e5 samples: one block of
+        # the old 4 M size, or 19 blocks of 2^15 of which the first 14 end
+        # below the taper start and skip the taper.  The result must not
+        # depend on the blocking.
+        raw = kernels._kernel_multiplier("K0", 0.0, 0.2, "high", P_SMALL)
+        profiles = []
+        for chunk in (4_000_000, 1 << 15):
+            monkeypatch.setattr(kernels, "_DENSE_CHUNK", chunk)
+            profiles.append(kernels._profile_dense(raw, 1, 0.2, P_SMALL, 0.0))
+        old, new = profiles
+        assert np.array_equal(new.y, old.y)
+        assert np.array_equal(new.values, old.values)
+        assert new.tail_coeff == old.tail_coeff > 0.0
 
 
 class TestFitPowerLaw:
