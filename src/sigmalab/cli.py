@@ -33,9 +33,9 @@ from .admissibility import AdmissibleInterval, TheoremId, admissible_interval
 from .kernels import (QuadratureError, fit_power_law, kernel_lr_norm,
                       theoretical_exponent)
 from .params import ModelParams, as_fraction, validate
-from .spectral import (BlowUpError, Snapshot, TorusGrid, gaussian_field,
-                       gevrey_energy, linear_evolve, lq_norm, make_grid,
-                       semilinear_solve, zero_field)
+from .spectral import (BlowUpError, Field, Snapshot, TorusGrid,
+                       gaussian_field, gevrey_energy, linear_evolve, lq_norm,
+                       make_grid, semilinear_solve, zero_field)
 from .toolkit import duhamel_bound, duhamel_integral, faa_di_bruno_partitions
 
 __all__ = ["main"]
@@ -125,6 +125,14 @@ def _grid_from(section: dict[str, str], n: int, default_L: float,
         return make_grid(n, L, N)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+
+
+def _gaussian_from(grid: TorusGrid, amplitude: float, width: float,
+                   where: str) -> Field:
+    try:
+        return gaussian_field(grid, amplitude=amplitude, width=width)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_fit_window(where: str, t_min: float, t_max: float,
@@ -284,7 +292,7 @@ def cmd_decay_fit(cfg, out_dir, strict, tol) -> int:
     if which not in ("u0", "u1", "zero"):
         raise ConfigError("data which must be u0, u1 or zero")
 
-    bump = gaussian_field(grid, amplitude=amplitude, width=width)
+    bump = _gaussian_from(grid, amplitude, width, "decay-fit")
     zero = zero_field(grid)
     if which == "zero":
         data = Snapshot(t=0.0, u=zero, ut=zero)
@@ -439,8 +447,7 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
     if min(q_list) < 1:
         raise ConfigError("evolve: every q in q_list must be >= 1")
 
-    data = Snapshot(t=0.0, u=gaussian_field(grid, amplitude=amplitude,
-                                            width=width),
+    data = Snapshot(t=0.0, u=_gaussian_from(grid, amplitude, width, "evolve"),
                     ut=zero_field(grid))
     try:
         traj = semilinear_solve(data, params, nonlinearity, t_end, dt,
@@ -478,11 +485,14 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     t_max = _get(gv, "t_max", float, 10.0)
     points = _get(gv, "points", int, 21)
     ratio_bound = _get(gv, "ratio_bound", float, 2.0)
+    if points < 2:
+        # One point is t = 0 alone, where the ratio is 1 by construction.
+        raise ConfigError("gevrey: points must be >= 2")
     data = Snapshot(t=0.0,
-                    u=gaussian_field(grid,
-                                     amplitude=_get(data_sec, "amplitude",
-                                                    float, 1.0),
-                                     width=_get(data_sec, "width", float, 1.0)),
+                    u=_gaussian_from(grid,
+                                     _get(data_sec, "amplitude", float, 1.0),
+                                     _get(data_sec, "width", float, 1.0),
+                                     "gevrey"),
                     ut=zero_field(grid))
     base = gevrey_energy(data, c, params)
     rows, violations = [], 0

@@ -22,6 +22,7 @@ this dilation; L^r norms pick up the factor scale^{n(1-1/r)}.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -349,9 +350,11 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
 
 
 #: Sample budget for the dense unscaled FFT path.  At the cap the
-#: samples alone are about 600 MB of float64; the power-of-two FFT
-#: buffer that holds them and its complex half spectrum take up to
-#: 1 GiB each.  The sampling blocks add only a few MB on top.
+#: samples alone are about 600 MB of float64.  They are held as four
+#: residue classes, each transformed into a quarter-length half
+#: spectrum; the four spectra take up to 1 GiB together, and the two
+#: classes in flight add a quarter-length sample buffer and its FFT
+#: each (about 256 MB apiece).  The sampling blocks add only a few MB.
 _DENSE_SAMPLE_CAP = 80_000_000
 #: Samples per block of the dense path.  Its multiplier is a chain of
 #: float64 ufuncs, each of which streams a fresh temporary; at 2^15
@@ -359,6 +362,48 @@ _DENSE_SAMPLE_CAP = 80_000_000
 #: in a 2 MiB L2 instead of going through DRAM once per operation.
 #: Block sizes from 2^14 to 2^16 run equally fast; 2^18 is slower.
 _DENSE_CHUNK = 1 << 15
+#: The second thread of the dense path.  Its thread starts on the first
+#: submission, so runs that never reach the dense path never start it.
+_POOL = ThreadPoolExecutor(1)
+
+
+def _on_two_threads(fn: Callable, first, second) -> None:
+    """fn(first) on the calling thread while the worker runs fn(second)."""
+    future = _POOL.submit(fn, second)
+    try:
+        fn(first)
+    finally:
+        future.result()
+
+
+def _recombine(spectra: np.ndarray, m_fft: int, lo: int, hi: int,
+               imag: bool) -> np.ndarray:
+    """Re (or Im) of bins lo..hi-1 of the length-m_fft DFT whose four
+    residue classes j = 4i + r have the quarter-length real spectra
+    spectra[r]: X[k] = sum_r W^{rk} F_r[k], W = exp(-2 pi i / m_fft).
+
+    Above m_fft/8 a quarter-length bin is read from its mirror,
+    F_r[k] = conj F_r[m_fft/4 - k]; the block must lie on one side.
+    """
+    half = m_fft // 8
+    if hi <= half + 1:
+        f = spectra[:, lo:hi]
+        a, b = f.real, f.imag
+    else:
+        assert lo > half
+        quarter = m_fft // 4
+        f = spectra[:, quarter - hi + 1:quarter - lo + 1][:, ::-1]
+        a, b = f.real, -f.imag
+    theta = (2.0 * np.pi / m_fft) * np.arange(lo, hi)
+    c1, s1 = np.cos(theta), np.sin(theta)
+    c2, s2 = c1 * c1 - s1 * s1, 2.0 * s1 * c1
+    c3, s3 = c1 * c2 - s1 * s2, s1 * c2 + c1 * s2
+    # exp(-i r theta) (a + i b) = (a cos + b sin) + i (b cos - a sin)
+    if imag:
+        return (b[0] + (b[1] * c1 - a[1] * s1) + (b[2] * c2 - a[2] * s2)
+                + (b[3] * c3 - a[3] * s3))
+    return (a[0] + (a[1] * c1 + b[1] * s1) + (a[2] * c2 + b[2] * s2)
+            + (a[3] * c3 + b[3] * s3))
 
 
 def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
@@ -370,10 +415,20 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     rho ~ t^{-1/(2 delta)} (a sharp wavefront).  A single self-similar
     grid cannot represent both, so this path samples the multiplier on
     a uniform unscaled rho grid fine enough for a physical window
-    x <= x_max and transforms it in one FFT.  The rho truncation is a
-    smooth taper where the exponential envelope has decayed; the sample
-    count is capped, and None is returned when the parameters put the
-    problem over budget (the caller falls back to the scaled grid).
+    x <= x_max and takes its length-m_fft real DFT.  The rho truncation
+    is a smooth taper where the exponential envelope has decayed; the
+    sample count is capped, and None is returned when the parameters
+    put the problem over budget (the caller falls back to the scaled
+    grid).
+
+    The DFT is a radix-4 decimation in time: sample j = 4i + r goes to
+    residue class r, each class is sampled and transformed by its own
+    quarter-length real FFT, and only the kept output bins are
+    recombined from the four spectra.  Classes (0, 1) and then (2, 3)
+    run at the same time, one on the calling thread and one on a single
+    worker thread, and the recombination is split between the two the
+    same way.  Every block of work is fixed by the sizes alone, so the
+    output is the same for any number of cores or threads.
     """
     if n not in (1, 3):
         return None
@@ -393,30 +448,54 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     if m_samples > _DENSE_SAMPLE_CAP:
         return None
     m_fft = 1 << int(np.ceil(np.log2(m_samples + 1)))
-    buf = np.zeros(m_fft)
-    for lo in range(0, m_samples, _DENSE_CHUNK):
-        hi = min(lo + _DENSE_CHUNK, m_samples)
-        rho = step * np.arange(lo, hi)
-        vals = np.asarray(raw(rho), dtype=float)
-        if rho[-1] > rho_start:  # the taper is exactly 1 up to rho_start
-            vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
-        if n == 3:
-            vals *= rho
-        buf[lo:hi] = vals
-    buf[0] *= 0.5  # trapezoid endpoint at rho = 0
-    spec = np.fft.rfft(buf)
-    del buf
+    quarter = m_fft // 4
+    spectra = np.empty((4, quarter // 2 + 1), dtype=complex)
+
+    def transform(r: int) -> None:
+        count = (m_samples - r + 3) // 4  # samples j < m_samples with j % 4 == r
+        buf = np.zeros(quarter)
+        for lo in range(0, count, _DENSE_CHUNK):
+            hi = min(lo + _DENSE_CHUNK, count)
+            rho = step * (4 * np.arange(lo, hi) + r)
+            vals = np.asarray(raw(rho), dtype=float)
+            if rho[-1] > rho_start:  # the taper is exactly 1 up to rho_start
+                vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
+            if n == 3:
+                vals *= rho
+            buf[lo:hi] = vals
+        if r == 0:
+            buf[0] *= 0.5  # trapezoid endpoint at rho = 0
+        np.fft.rfft(buf, out=spectra[r])
+
+    _on_two_threads(transform, 0, 1)
+    _on_two_threads(transform, 2, 3)
+
     dy = 2.0 * np.pi / (m_fft * step)
     keep = int(x_max / dy) + 1
+    # The Nyquist radius pi/step is at least 2.5 x_max, so every kept bin
+    # lies below m_fft/4, the period of the quarter-length spectra.
+    assert keep <= quarter
     y = dy * np.arange(keep)
+    part = np.empty(keep)  # Re X (n = 1) or Im X (n = 3) on the kept bins
+    # Blocks never straddle m_fft/8, where the spectra start to be mirrored.
+    edge = min(keep, m_fft // 8 + 1)
+    blocks = [(lo, min(lo + _DENSE_CHUNK, seg_hi))
+              for seg_lo, seg_hi in ((0, edge), (edge, keep))
+              for lo in range(seg_lo, seg_hi, _DENSE_CHUNK)]
+
+    def recombine(share: list) -> None:
+        for lo, hi in share:
+            part[lo:hi] = _recombine(spectra, m_fft, lo, hi, imag=n == 3)
+
+    _on_two_threads(recombine, blocks[:len(blocks) // 2], blocks[len(blocks) // 2:])
+    del spectra
     if n == 1:
-        vals = step * spec.real[:keep] / np.pi
+        vals = step * part / np.pi
     else:
-        sin_int = -step * spec.imag[:keep]
+        sin_int = -step * part
         vals = np.empty(keep)
         vals[1:] = sin_int[1:] / (2.0 * np.pi ** 2 * y[1:])
         vals[0] = 0.0 if keep == 1 else vals[1]
-    del spec
     # Algebraic-tail coefficient from the outer 20% of the window,
     # assuming |I| ~ C y^{-2} out there (exact decay of the band-edge
     # contribution after two integrations by parts).

@@ -161,7 +161,13 @@ def zero_field(grid: TorusGrid) -> Field:
 
 def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
                    width: float = 1.0) -> Field:
-    """Centered Gaussian amplitude * exp(-|x|^2 / width^2) on the lattice."""
+    """Centered Gaussian amplitude * exp(-|x|^2 / width^2) on the lattice.
+
+    Raises ValueError unless width is finite and positive (width = 0
+    would put 0/0 = NaN at the origin).
+    """
+    if not (np.isfinite(width) and width > 0):
+        raise ValueError(f"width = {width} must be finite and positive")
     mesh = grid.meshgrid()
     r2 = sum(x * x for x in mesh)
     return Field(grid, amplitude * np.exp(-r2 / width**2), "physical")

@@ -112,9 +112,13 @@ _SWEEP = ("[sweep s]\nwhich = {which}\nband = {band}\nregime = small_t\n"
 _EVOLVE = (_MODEL_1D + "q = 2\nm = 1\np = 3\n[grid]\nL = 20\nN = {N}\n"
            "[time]\nt_end = 1\ndt = 0.1\nstore_every = {store_every}\n"
            "[evolve]\nnonlinearity = abs_u_p\n")
+_GEVREY = (_MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
+           "[gevrey]\nt_max = 1\npoints = {points}\n")
 
-#: Configs that once ended in an uncaught exception, with the command
-#: that reads them and a phrase of the config error they now give.
+#: Configs that once ended in an uncaught exception or in a misleading
+#: result (a NaN field read as a blow-up or a NaN fit, an empty gevrey
+#: scan as a success), with the command that reads them and a phrase of
+#: the config error they now give.
 BAD_CONFIGS = {
     "unknown-theorem": ("admissible", "unknown theorem 'T9Z'",
                         "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\nq = 5\n"
@@ -153,6 +157,16 @@ BAD_CONFIGS = {
                     "[toolkit]\nbell_max = 30\n"),
     "alpha-step-0": ("toolkit", "alpha_step must be positive",
                      "[toolkit]\nalpha_step = 0\n"),
+    "evolve-width-0": ("evolve", "width = 0.0 must be finite and positive",
+                       _EVOLVE.format(N=64, store_every=1)
+                       + "[data]\nwidth = 0\n"),
+    "decay-fit-width-0": ("decay-fit", "width = 0.0 must be finite and positive",
+                          _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
+                          "[time]\nt_min = 1\nt_max = 5\n[data]\nwidth = 0\n"),
+    "gevrey-width-0": ("gevrey", "width = 0.0 must be finite and positive",
+                       _GEVREY.format(points=5) + "[data]\nwidth = 0\n"),
+    "gevrey-points-0": ("gevrey", "points must be >= 2",
+                        _GEVREY.format(points=0)),
 }
 
 

@@ -1,6 +1,8 @@
 """Hankel quadrature, kernel norms and decay-rate prediction/fitting."""
 
 import math
+import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,8 @@ from sigmalab.kernels import (QuadConfig, QuadratureError, bessel_tilde,
                               kernel_profile, radial_inverse_fourier,
                               theoretical_exponent)
 from sigmalab import kernels
-from sigmalab.kernels import _SPHERE_AREA
+from sigmalab.dispersion import cutoff_chi
+from sigmalab.kernels import _SPHERE_AREA, RadialProfile
 from sigmalab.params import ModelParams
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
@@ -156,12 +159,67 @@ class TestKernelNorms:
             kernel_lr_norm("K0", 0.0, 1.0, 0.5, P_SMALL, 1)
 
 
+def reference_profile_dense(raw, n, t, params, a):
+    """The dense path as one power-of-two real FFT of all the samples.
+
+    This is `kernels._profile_dense` before its samples were split into
+    residue classes mod 4; the sample positions, the taper, `m_fft`,
+    the kept window and the tail fit are the same.  Returns the profile
+    and m_fft.
+    """
+    mu, delta, sigma = params.mu_f, params.delta_f, params.sigma_f
+    z_start = 12.0 + 2.0 * a
+    rho_start = max((2.0 * z_start / (mu * t)) ** (1.0 / (2.0 * delta)), 8.0)
+    rho_cap = 1.3 * rho_start
+    f_cap = np.sqrt(max(1.0 - mu ** 2 / (4.0 * rho_cap ** (2 * sigma - 4 * delta)), 0.5))
+    hint = t * sigma * rho_cap ** (sigma - 1.0) * f_cap
+    x_max = max(40.0, 3.0 * hint + 10.0)
+    margin = 0.25 * x_max
+    step = np.pi / (2.0 * (x_max + margin + hint + 1.0))
+    m_samples = int(np.ceil(rho_cap / step))
+    m_fft = 1 << int(np.ceil(np.log2(m_samples + 1)))
+    buf = np.zeros(m_fft)
+    for lo in range(0, m_samples, kernels._DENSE_CHUNK):
+        hi = min(lo + kernels._DENSE_CHUNK, m_samples)
+        rho = step * np.arange(lo, hi)
+        vals = np.asarray(raw(rho), dtype=float)
+        if rho[-1] > rho_start:
+            vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
+        if n == 3:
+            vals *= rho
+        buf[lo:hi] = vals
+    buf[0] *= 0.5
+    spec = np.fft.rfft(buf)
+    dy = 2.0 * np.pi / (m_fft * step)
+    keep = int(x_max / dy) + 1
+    y = dy * np.arange(keep)
+    if n == 1:
+        vals = step * spec.real[:keep] / np.pi
+    else:
+        sin_int = -step * spec.imag[:keep]
+        vals = np.empty(keep)
+        vals[1:] = sin_int[1:] / (2.0 * np.pi ** 2 * y[1:])
+        vals[0] = 0.0 if keep == 1 else vals[1]
+    outer = y > 0.8 * x_max
+    tail_coeff = float(np.median(np.abs(vals[outer]) * y[outer] ** 2)) if np.any(outer) else 0.0
+    return RadialProfile(y=y, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff), m_fft
+
+
+class InlineExecutor:
+    """An executor that runs each submitted call at once on the caller."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestDenseProfile:
     def test_block_size_does_not_change_the_profile(self, monkeypatch):
         # At t = 0.2 the dense path takes about 6e5 samples: one block of
-        # the old 4 M size, or 19 blocks of 2^15 of which the first 14 end
-        # below the taper start and skip the taper.  The result must not
-        # depend on the blocking.
+        # the old 4 M size per residue class, or 5 blocks of 2^15 per
+        # class, of which the first few end below the taper start and
+        # skip the taper.  The result must not depend on the blocking.
         raw = kernels._kernel_multiplier("K0", 0.0, 0.2, "high", P_SMALL)
         profiles = []
         for chunk in (4_000_000, 1 << 15):
@@ -171,6 +229,61 @@ class TestDenseProfile:
         assert np.array_equal(new.y, old.y)
         assert np.array_equal(new.values, old.values)
         assert new.tail_coeff == old.tail_coeff > 0.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("which", ["K0", "K1"])
+    @pytest.mark.parametrize("t", [0.1, 0.3])
+    @pytest.mark.parametrize("band", ["high", "full"])
+    def test_matches_single_fft(self, n, which, t, band):
+        """The residue-class transform against one full-length FFT.
+
+        The samples are bit-identical, so the drift is the rounding of
+        four quarter-length FFTs and their recombination against that of
+        one FFT: at most 6e-16 (n = 1) and 3.5e-14 (n = 3) of the peak.
+        tail_coeff is a median over the outer window, where the n = 3
+        profile is small; there it drifts by up to 1.3e-12 (K0, t = 0.1)
+        whatever the order of the recombination sums, and an
+        extended-precision DFT at the median bins cannot tell which of
+        the two is nearer.  The full band checks the halved endpoint
+        sample at rho = 0, which the high band weights by zero.
+        """
+        raw = kernels._kernel_multiplier(which, 0.0, t, band, P_SMALL)
+        ref, m_fft = reference_profile_dense(raw, n, t, P_SMALL, 0.0)
+        new = kernels._profile_dense(raw, n, t, P_SMALL, 0.0)
+        assert np.array_equal(new.y, ref.y)
+        drift = np.max(np.abs(new.values - ref.values)) / np.max(np.abs(ref.values))
+        assert drift <= 1e-13
+        assert new.tail_coeff == pytest.approx(ref.tail_coeff, rel=2e-12)
+        # Every case keeps bins above m_fft/8, where the quarter-length
+        # spectra are read from their mirror images.
+        assert len(new.y) > m_fft // 8
+
+    def test_same_output_on_one_thread(self, monkeypatch):
+        raw = kernels._kernel_multiplier("K0", 0.0, 0.1, "high", P_SMALL)
+        threaded = kernels._profile_dense(raw, 3, 0.1, P_SMALL, 0.0)
+        monkeypatch.setattr(kernels, "_POOL", InlineExecutor())
+        inline = kernels._profile_dense(raw, 3, 0.1, P_SMALL, 0.0)
+        assert np.array_equal(inline.y, threaded.y)
+        assert np.array_equal(inline.values, threaded.values)
+        assert inline.tail_coeff == threaded.tail_coeff
+
+    def test_concurrent_callers_get_the_serial_result(self):
+        # More calling threads than cores queue their halves on the one
+        # worker; a short switch interval interleaves their block writes.
+        raw = kernels._kernel_multiplier("K1", 0.0, 0.3, "high", P_SMALL)
+        serial = kernels._profile_dense(raw, 3, 0.3, P_SMALL, 0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                profiles = list(callers.map(
+                    lambda _: kernels._profile_dense(raw, 3, 0.3, P_SMALL, 0.0),
+                    range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(profiles) == 8
+        for prof in profiles:
+            assert np.array_equal(prof.values, serial.values)
 
 
 class TestFitPowerLaw:
