@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -138,6 +139,8 @@ def _gaussian_from(grid: TorusGrid, amplitude: float, width: float,
 def _check_fit_window(where: str, t_min: float, t_max: float,
                       points: int) -> None:
     """Reject a time window that the power-law fit cannot use."""
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ConfigError(f"{where}: t_min and t_max must be finite")
     if not 0 < t_min < t_max:
         raise ConfigError(f"{where}: need 0 < t_min < t_max")
     if points < 5:
@@ -366,7 +369,8 @@ def _sweep_from(name: str, sec: dict[str, str]) -> tuple:
             (which in ("K0", "K1"), "which must be K0 or K1"),
             (band in ("low", "high", "full"), "band must be low, high or full"),
             (regime in ("small_t", "large_t"), "regime must be small_t or large_t"),
-            (r >= 1, "r must be >= 1")]:
+            (r >= 1, "r must be >= 1"),
+            (a >= 0, "a must be >= 0")]:
         if not ok:
             raise ConfigError(f"sweep {name!r}: {message}")
     _check_fit_window(f"sweep {name!r}", t_min, t_max, points)
@@ -388,15 +392,21 @@ def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
     rows, failures = [], 0
     for name, (which, band, a, r, regime, t_min, t_max, points) in sweeps:
         times = np.geomspace(t_min, t_max, points)
-        try:
-            samples = [(float(t), kernel_lr_norm(which, float(a), float(t),
-                                                 float(r), params, params.n,
-                                                 band=band))
-                       for t in times]
-            fit = fit_power_law(samples, (t_min, t_max))
-        except QuadratureError as exc:
-            print(f"kernel-norm sweep {name!r}: {exc}", file=sys.stderr)
-            return EXIT_NONCONV
+        samples = []
+        for t in times:
+            try:
+                norm = kernel_lr_norm(which, float(a), float(t), float(r),
+                                      params, params.n, band=band)
+            except QuadratureError as exc:
+                print(f"kernel-norm sweep {name!r}: {exc}", file=sys.stderr)
+                return EXIT_NONCONV
+            if not norm > 0:
+                print(f"kernel-norm sweep {name!r}: the norm at t = {t:.12g} "
+                      f"is {norm!r}, not positive, so no power law can be "
+                      "fitted", file=sys.stderr)
+                return EXIT_NONCONV
+            samples.append((float(t), norm))
+        fit = fit_power_law(samples, (t_min, t_max))
         theory = _sweep_theory(which, a, regime, r, band, params)
         if theory is None:
             rel_err, ok = "", True

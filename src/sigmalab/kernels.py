@@ -22,6 +22,7 @@ this dilation; L^r norms pick up the factor scale^{n(1-1/r)}.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,6 +328,12 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     evaluated once; each output radius reuses it with its own Bessel
     factor.  Cost grows with y_max * eta_max, so this path is for
     moderate parameters and cross-checks.
+
+    The radii are evaluated in blocks of about _DENSE_CHUNK Bessel
+    samples, shared between the calling thread and the worker thread
+    (_on_two_threads; scipy's Bessel functions release the GIL).  Each radius is
+    the same sum over the same products as on its own, so the profile
+    is the same for any number of cores or threads.
     """
     nodes, wts = np.polynomial.legendre.leggauss(16)
     h = np.pi / (y_max + freq_hint + 1.0)
@@ -341,20 +348,27 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     vals = np.empty_like(ys)
     pref = (2.0 * np.pi) ** (-n / 2.0)
     limit = 1.0 / (2.0 ** mu * gamma_fn(mu + 1.0))
-    for i, yv in enumerate(ys):
-        if yv == 0.0:
-            vals[i] = pref * limit * np.sum(base)
-        else:
-            vals[i] = pref * np.sum(base * bessel_tilde(mu, pts * yv))
+    vals[0] = pref * limit * np.sum(base)  # ys[0] = 0
+    rows = max(_DENSE_CHUNK // len(pts), 1)
+    blocks = [(lo, min(lo + rows, num_y)) for lo in range(1, num_y, rows)]
+
+    def evaluate(block: tuple) -> None:
+        lo, hi = block
+        vals[lo:hi] = pref * np.sum(base * bessel_tilde(mu, ys[lo:hi, None] * pts), axis=1)
+
+    _on_two_threads(evaluate, blocks)
     return RadialProfile(y=ys, values=vals, scale=1.0, n=n)
 
 
 #: Sample budget for the dense unscaled FFT path.  At the cap the
 #: samples alone are about 600 MB of float64.  They are held as four
 #: residue classes, each transformed into a quarter-length half
-#: spectrum; the four spectra take up to 1 GiB together, and the two
-#: classes in flight add a quarter-length sample buffer and its FFT
-#: each (about 256 MB apiece).  The sampling blocks add only a few MB.
+#: spectrum; the four spectra take up to 1 GiB together.  The classes
+#: share one buffer of quarter-length samples, which the row FFTs of
+#: each class overwrite in place with their half spectra (about 256 MB).
+#: The row FFTs are short, so pocketfft keeps no full-length
+#: temporaries; the sampling and column blocks and the copies of the
+#: rows in flight add only a few MB.
 _DENSE_SAMPLE_CAP = 80_000_000
 #: Samples per block of the dense path.  Its multiplier is a chain of
 #: float64 ufuncs, each of which streams a fresh temporary; at 2^15
@@ -362,25 +376,125 @@ _DENSE_SAMPLE_CAP = 80_000_000
 #: in a 2 MiB L2 instead of going through DRAM once per operation.
 #: Block sizes from 2^14 to 2^16 run equally fast; 2^18 is slower.
 _DENSE_CHUNK = 1 << 15
-#: The second thread of the dense path.  Its thread starts on the first
-#: submission, so runs that never reach the dense path never start it.
+#: Row length of the four-step quarter FFTs.  A 2^15-point real FFT
+#: and its half spectrum stay in a 2 MiB L2: it takes 12-20 ns per
+#: point, against about 43 ns per point for one 2^22-point rfft.
+_FFT_ROW = 1 << 15
+#: The second thread of the dense and the n = 2 paths.  Its thread
+#: starts on the first submission, so runs that reach neither path
+#: never start it.
 _POOL = ThreadPoolExecutor(1)
+_DONE = object()
 
 
-def _on_two_threads(fn: Callable, first, second) -> None:
-    """fn(first) on the calling thread while the worker runs fn(second)."""
-    future = _POOL.submit(fn, second)
-    try:
-        fn(first)
-    finally:
-        future.result()
+def _on_two_threads(fn: Callable, items: Sequence) -> None:
+    """fn(item) for every item, on the calling thread and the worker.
+
+    Each thread takes the next item that neither has taken yet, so when
+    the host or the GIL slows one thread the other runs more of the
+    items instead of waiting for it.  The calling thread waits only for
+    items in progress: a worker that has not started by the time the
+    items run out finds none left.  fn must write each item's result to
+    its own place, so that the output does not depend on which thread
+    ran an item or when.  The first error stops both threads from taking
+    further items and is raised on the calling thread.
+    """
+    pending = iter(items)
+    done = threading.Condition()
+    busy = 0
+    errors: list = []
+
+    def drain() -> None:
+        nonlocal busy
+        while True:
+            with done:
+                item = next(pending, _DONE) if not errors else _DONE
+                if item is _DONE:
+                    return
+                busy += 1
+            try:
+                fn(item)
+            except BaseException as exc:  # re-raised on the calling thread
+                with done:
+                    errors.append(exc)
+            finally:
+                with done:
+                    busy -= 1
+                    done.notify_all()
+
+    _POOL.submit(drain)
+    drain()
+    with done:
+        done.wait_for(lambda: busy == 0)
+    if errors:
+        raise errors[0]
+
+
+class _Roots:
+    """The roots of unity exp(-2 pi i s k / m) for the orders s and
+    0 <= k < cols, each a product fine[s, k mod tile] * coarse[s, k div
+    tile] of two per-call tables.
+
+    cos and sin are taken len(orders) * (tile + cols / tile) times
+    instead of once per root.  The tile follows from cols alone, so a
+    root does not depend on how its caller blocks k.
+    """
+
+    def __init__(self, m: int, orders: np.ndarray, cols: int):
+        self.tile = 1 << ((max(cols - 1, 1).bit_length() + 1) // 2)
+        s = np.asarray(orders)[:, None]
+        self.fine = self._exp(m, s * np.arange(self.tile))
+        self.coarse = self._exp(m, s * (self.tile * np.arange(-(-cols // self.tile))))
+
+    @staticmethod
+    def _exp(m: int, turns: np.ndarray) -> np.ndarray:
+        theta = (2.0 * np.pi / m) * turns
+        return np.cos(theta) - 1j * np.sin(theta)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The roots for k = lo..hi-1, one row per order."""
+        b0, b1 = lo // self.tile, -(-hi // self.tile)
+        span = self.coarse[:, b0:b1, None] * self.fine[:, None, :]
+        start = lo - b0 * self.tile
+        return span.reshape(len(span), -1)[:, start:start + hi - lo]
+
+
+def _four_step(rows_spectra: np.ndarray, out: np.ndarray, roots: _Roots,
+               c0: int, c1: int) -> None:
+    """Last two steps of a four-step FFT (Bailey, J. Supercomputing 4
+    (1990) 23), for the columns c0..c1-1: the half spectrum X of the
+    real sequence x[P i + s] = rows[s, i] of length Q = P R, from
+    rows_spectra = rfft(rows, axis=1).
+
+    X[k2 + R k1] = sum_s W_P^{s k1} W_Q^{s k2} F_s[k2], so each column
+    k2 is multiplied by its twiddles (roots, orders 0..P-1, m = Q) and
+    given a length-P FFT.  Only the columns k2 <= R/2 of the row half
+    spectra are at hand: their rows k1 < P/2 are written straight into
+    out through a (P/2, R) view, rows k1 >= P/2 are written into column
+    R - k2 of row P - 1 - k1 by the mirror X[Q - k] = conj X[k], and the
+    Nyquist bin X[Q/2] is row P/2 of column 0.  Blocks of columns write
+    disjoint bins.  P >= 2.
+    """
+    p, cols = rows_spectra.shape
+    r_len, half = 2 * (cols - 1), p // 2
+    view = out[:-1].reshape(half, r_len)
+    y = np.fft.fft(rows_spectra[:, c0:c1] * roots.block(c0, c1), axis=0)
+    view[:, c0:c1] = y[:half]
+    # Mirror the columns 0 < k2 < R/2 of the rows k1 >= P/2.
+    lo, hi = max(c0, 1), min(c1, r_len // 2)
+    if lo < hi:
+        np.conjugate(y[::-1, ::-1][:half, c1 - hi:c1 - lo],
+                     out=view[:, r_len - hi + 1:r_len - lo + 1])
+    if c0 == 0:
+        out[-1] = y[half, 0]
 
 
 def _recombine(spectra: np.ndarray, m_fft: int, lo: int, hi: int,
-               imag: bool) -> np.ndarray:
+               imag: bool, roots: _Roots) -> np.ndarray:
     """Re (or Im) of bins lo..hi-1 of the length-m_fft DFT whose four
     residue classes j = 4i + r have the quarter-length real spectra
-    spectra[r]: X[k] = sum_r W^{rk} F_r[k], W = exp(-2 pi i / m_fft).
+    spectra[r]: X[k] = sum_r W^{rk} F_r[k], W = exp(-2 pi i / m_fft),
+    with W^k from roots (order 1, m = m_fft).
 
     Above m_fft/8 a quarter-length bin is read from its mirror,
     F_r[k] = conj F_r[m_fft/4 - k]; the block must lie on one side.
@@ -394,8 +508,8 @@ def _recombine(spectra: np.ndarray, m_fft: int, lo: int, hi: int,
         quarter = m_fft // 4
         f = spectra[:, quarter - hi + 1:quarter - lo + 1][:, ::-1]
         a, b = f.real, -f.imag
-    theta = (2.0 * np.pi / m_fft) * np.arange(lo, hi)
-    c1, s1 = np.cos(theta), np.sin(theta)
+    w = roots.block(lo, hi)[0]
+    c1, s1 = w.real, -w.imag
     c2, s2 = c1 * c1 - s1 * s1, 2.0 * s1 * c1
     c3, s3 = c1 * c2 - s1 * s2, s1 * c2 + c1 * s2
     # exp(-i r theta) (a + i b) = (a cos + b sin) + i (b cos - a sin)
@@ -424,11 +538,19 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     The DFT is a radix-4 decimation in time: sample j = 4i + r goes to
     residue class r, each class is sampled and transformed by its own
     quarter-length real FFT, and only the kept output bins are
-    recombined from the four spectra.  Classes (0, 1) and then (2, 3)
-    run at the same time, one on the calling thread and one on a single
-    worker thread, and the recombination is split between the two the
-    same way.  Every block of work is fixed by the sizes alone, so the
-    output is the same for any number of cores or threads.
+    recombined from the four spectra.  The classes go one at a time
+    through one buffer; the blocks of each step (sampling, row FFTs,
+    column FFTs, recombination) are shared between the calling thread
+    and a single worker thread, each taking the next block not yet
+    taken (_on_two_threads).
+
+    A quarter-length FFT longer than _FFT_ROW is a four-step FFT that
+    stays in cache: class index i = P i' + s puts the class on the rows
+    s of a (P, _FFT_ROW) array, which is sampled in column blocks of
+    about _DENSE_CHUNK samples, transformed row by row, and finished by
+    _four_step.  Every block of work and every twiddle is fixed by the
+    sizes alone, so the output is the same for any number of cores or
+    threads and for any order in which the blocks run.
     """
     if n not in (1, 3):
         return None
@@ -450,25 +572,51 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     m_fft = 1 << int(np.ceil(np.log2(m_samples + 1)))
     quarter = m_fft // 4
     spectra = np.empty((4, quarter // 2 + 1), dtype=complex)
+    n_rows = max(quarter // _FFT_ROW, 1)
+    width = max(_DENSE_CHUNK // n_rows, 1)
+    row_len = quarter // n_rows
+    twiddles = (_Roots(quarter, np.arange(n_rows), row_len // 2 + 1)
+                if n_rows > 1 else None)
 
-    def transform(r: int) -> None:
+    # The classes go one at a time through one buffer.  Class sample
+    # P i' + s goes to rows[s, i'], and each row shares its memory with
+    # its own half spectrum, so the row FFTs run in place.
+    rows_spectra = np.empty((n_rows, row_len // 2 + 1), dtype=complex)
+    rows = rows_spectra.view(float)[:, :row_len]
+
+    for r in range(4):
         count = (m_samples - r + 3) // 4  # samples j < m_samples with j % 4 == r
-        buf = np.zeros(quarter)
-        for lo in range(0, count, _DENSE_CHUNK):
-            hi = min(lo + _DENSE_CHUNK, count)
+
+        def sample(c0: int) -> None:
+            block = rows[:, c0:c0 + width]
+            lo = n_rows * c0
+            hi = min(lo + block.size, count)
             rho = step * (4 * np.arange(lo, hi) + r)
             vals = np.asarray(raw(rho), dtype=float)
             if rho[-1] > rho_start:  # the taper is exactly 1 up to rho_start
                 vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
             if n == 3:
                 vals *= rho
-            buf[lo:hi] = vals
-        if r == 0:
-            buf[0] *= 0.5  # trapezoid endpoint at rho = 0
-        np.fft.rfft(buf, out=spectra[r])
+            block[...] = np.pad(vals, (0, block.size - len(vals))).reshape(-1, n_rows).T
 
-    _on_two_threads(transform, 0, 1)
-    _on_two_threads(transform, 2, 3)
+        starts = range(0, min(row_len, -(-count // n_rows)), width)
+        _on_two_threads(sample, starts)
+        rows[:, len(starts) * width:] = 0.0
+        if r == 0:
+            rows[0, 0] *= 0.5  # trapezoid endpoint at rho = 0
+        if n_rows == 1:
+            np.fft.rfft(rows[0], out=spectra[r])
+            continue
+        # numpy copies an input that overlaps its output, so the rows go
+        # eight (2 MB) at a time rather than all at once.
+        _on_two_threads(lambda s0: np.fft.rfft(rows[s0:s0 + 8], axis=1,
+                                               out=rows_spectra[s0:s0 + 8]),
+                        range(0, n_rows, 8))
+        cols = row_len // 2 + 1
+        _on_two_threads(lambda c0: _four_step(rows_spectra, spectra[r], twiddles,
+                                              c0, min(c0 + width, cols)),
+                        range(0, cols, width))
+    del rows_spectra, rows
 
     dy = 2.0 * np.pi / (m_fft * step)
     keep = int(x_max / dy) + 1
@@ -483,11 +631,13 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
               for seg_lo, seg_hi in ((0, edge), (edge, keep))
               for lo in range(seg_lo, seg_hi, _DENSE_CHUNK)]
 
-    def recombine(share: list) -> None:
-        for lo, hi in share:
-            part[lo:hi] = _recombine(spectra, m_fft, lo, hi, imag=n == 3)
+    roots = _Roots(m_fft, np.array([1]), keep)
 
-    _on_two_threads(recombine, blocks[:len(blocks) // 2], blocks[len(blocks) // 2:])
+    def recombine(block: tuple) -> None:
+        lo, hi = block
+        part[lo:hi] = _recombine(spectra, m_fft, lo, hi, n == 3, roots)
+
+    _on_two_threads(recombine, blocks)
     del spectra
     if n == 1:
         vals = step * part / np.pi

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from sigmalab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, PRESETS, main)
+from sigmalab import cli
+from sigmalab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NONCONV, EXIT_OK,
+                          PRESETS, main)
 
 
 def read(path):
@@ -149,6 +151,18 @@ BAD_CONFIGS = {
     "decay-t-min-0": ("decay-fit", "need 0 < t_min < t_max",
                       _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
                       "[time]\nt_min = 0\nt_max = 5\n"),
+    "decay-t-max-inf": ("decay-fit", "t_min and t_max must be finite",
+                        _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
+                        "[time]\nt_min = 1\nt_max = 1e400\n"),
+    "kernel-t-max-inf": ("kernel-norm", "t_min and t_max must be finite",
+                         _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
+                         .replace("t_max = 0.5", "t_max = 1e400")),
+    "kernel-t-min-nan": ("kernel-norm", "t_min and t_max must be finite",
+                         _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
+                         .replace("t_min = 0.02", "t_min = nan")),
+    "a-negative": ("kernel-norm", "a must be >= 0",
+                   _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
+                   + "a = -1\n"),
     "duhamel-times-word": ("toolkit", "bad value for 'duhamel_times'",
                            "[toolkit]\nduhamel_times = 10,ten\n"),
     "duhamel-times-negative": ("toolkit", "duhamel_times must be positive",
@@ -217,6 +231,34 @@ class TestKernelNormCommand:
             "K1-low-smallt,1,1/4,1,1,2,1,0,,K1,low,0,1,small_t,0.02,0.5,"
             "0.960103351759,1,0.0398966482411,ok",
         ]
+
+
+class TestNonPositiveNorm:
+    """A norm that is not positive cannot enter the log-log fit; the
+    sweep stops with exit 3 and names the sweep and the time."""
+
+    def test_zero_norm_is_nonconvergence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "kernel_lr_norm", lambda *args, **kwargs: 0.0)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_MODEL_1D + _SWEEP.format(which="K1", band="low", points=5))
+        code = main(["kernel-norm", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONV
+        assert "sweep 's'" in err and "t = 0.02 " in err and "not positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "kernel_norm.csv").exists()
+
+    def test_underflowing_high_band(self, tmp_path, capsys):
+        # The high band decays exponentially at large t; by t = 2000 its
+        # L^1 norm is 0.0 in double precision.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_MODEL_1D + "[sweep K0-high]\nwhich = K0\nband = high\n"
+                       "regime = large_t\nt_min = 2000\nt_max = 20000\n")
+        code = main(["kernel-norm", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONV
+        assert "sweep 'K0-high'" in err and "t = 2000 " in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

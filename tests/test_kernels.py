@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 
@@ -205,15 +207,6 @@ def reference_profile_dense(raw, n, t, params, a):
     return RadialProfile(y=y, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff), m_fft
 
 
-class InlineExecutor:
-    """An executor that runs each submitted call at once on the caller."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 class TestDenseProfile:
     def test_block_size_does_not_change_the_profile(self, monkeypatch):
         # At t = 0.2 the dense path takes about 6e5 samples: one block of
@@ -258,11 +251,10 @@ class TestDenseProfile:
         # spectra are read from their mirror images.
         assert len(new.y) > m_fft // 8
 
-    def test_same_output_on_one_thread(self, monkeypatch):
+    def test_same_output_on_one_thread(self, on_one_thread):
         raw = kernels._kernel_multiplier("K0", 0.0, 0.1, "high", P_SMALL)
         threaded = kernels._profile_dense(raw, 3, 0.1, P_SMALL, 0.0)
-        monkeypatch.setattr(kernels, "_POOL", InlineExecutor())
-        inline = kernels._profile_dense(raw, 3, 0.1, P_SMALL, 0.0)
+        inline = on_one_thread(kernels._profile_dense, raw, 3, 0.1, P_SMALL, 0.0)
         assert np.array_equal(inline.y, threaded.y)
         assert np.array_equal(inline.values, threaded.values)
         assert inline.tail_coeff == threaded.tail_coeff
@@ -284,6 +276,171 @@ class TestDenseProfile:
         assert len(profiles) == 8
         for prof in profiles:
             assert np.array_equal(prof.values, serial.values)
+
+
+class StalledExecutor:
+    """An executor whose worker never starts a submitted call."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+class TestOnTwoThreads:
+    def test_every_item_runs_once(self):
+        seen = []
+        kernels._on_two_threads(seen.append, range(1000))
+        assert sorted(seen) == list(range(1000))
+
+    def test_caller_does_not_wait_for_an_unstarted_worker(self, monkeypatch):
+        # A worker held up (here: forever) before it takes an item leaves
+        # every item to the calling thread.
+        monkeypatch.setattr(kernels, "_POOL", StalledExecutor())
+        seen = []
+        kernels._on_two_threads(seen.append, range(10))
+        assert seen == list(range(10))
+
+    def test_caller_waits_for_the_worker_item_in_progress(self):
+        started, release = threading.Event(), threading.Event()
+        finished = []
+
+        def fn(item):
+            if item == 0:
+                started.set()
+                release.wait(10)
+            else:
+                started.wait(10)  # the other thread holds item 0
+                release.set()
+            finished.append(item)
+
+        kernels._on_two_threads(fn, [0, 1])
+        assert sorted(finished) == [0, 1]
+
+    def test_first_error_stops_both_threads(self):
+        taken = []
+
+        def fn(item):
+            taken.append(item)
+            if item == 3:
+                raise ValueError("item 3")
+            time.sleep(0.001)
+
+        with pytest.raises(ValueError, match="item 3"):
+            kernels._on_two_threads(fn, range(1000))
+        # The other thread finishes the item it holds and takes no more.
+        assert len(taken) < 10
+
+
+class TestFourStep:
+    @pytest.mark.parametrize("p", [2, 4, 32])
+    def test_matches_rfft(self, p):
+        """The four-step half spectrum against one real FFT of the same
+        sequence, for column blocks of one column, of blocks that
+        straddle R/2 (R = 64, 33 columns) and of one block."""
+        r_len = 64
+        x = np.random.default_rng(p).standard_normal(p * r_len)
+        ref = np.fft.rfft(x)
+        rows_spectra = np.fft.rfft(x.reshape(r_len, p).T, axis=1)
+        roots = kernels._Roots(p * r_len, np.arange(p), r_len // 2 + 1)
+        outs = []
+        for width in (1, 7, 30, 33):
+            out = np.full(len(ref), np.nan, dtype=complex)
+            # Blocks write disjoint bins, so their order does not matter.
+            for c0 in reversed(range(0, r_len // 2 + 1, width)):
+                kernels._four_step(rows_spectra, out, roots, c0, min(c0 + width, r_len // 2 + 1))
+            outs.append(out)
+            err = np.abs(out - ref) / np.max(np.abs(ref))
+            assert np.max(err) <= 1e-14
+            assert err[-1] <= 1e-14  # the Nyquist bin
+            assert err[0] <= 1e-14
+        # Each root depends on k alone, not on the block it falls in.
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+    def test_roots(self):
+        m, orders, cols = 1 << 12, np.arange(5), 700
+        roots = kernels._Roots(m, orders, cols)
+        whole = roots.block(0, cols)
+        exact = np.exp(-2j * np.pi * np.outer(orders, np.arange(cols)) / m)
+        assert np.max(np.abs(whole - exact)) <= 1e-15
+        # Blocks inside one tile of 32 roots, across a tile edge, over
+        # several tiles and up to the end.
+        assert roots.tile == 32
+        for lo, hi in [(0, 1), (31, 33), (100, 350), (650, 700)]:
+            assert np.array_equal(roots.block(lo, hi), whole[:, lo:hi])
+
+
+P_N2 = ModelParams.make(sigma=1, delta="1/4", mu=1, n=2)
+
+
+def direct_inputs(which, t, band):
+    """The scaled multiplier and the arguments with which kernel_profile
+    first calls _profile_direct for n = 2."""
+    scale = kernels._natural_scale(t, band, P_N2)
+    raw = kernels._kernel_multiplier(which, 0.0, t, band, P_N2)
+
+    def g(eta):
+        return raw(scale * np.asarray(eta, dtype=float))
+
+    eta_max, _ = kernels._find_truncation(g)
+    hint = kernels._oscillation_hint(g, scale, t, eta_max, P_N2)
+    return g, eta_max, hint, 3.0 * hint + 60.0
+
+
+def reference_profile_direct(g, n, eta_max, freq_hint, y_max, num_y=800):
+    """`kernels._profile_direct` as it was before its radii were
+    evaluated in blocks on two threads: one radius at a time."""
+    nodes, wts = np.polynomial.legendre.leggauss(16)
+    h = np.pi / (y_max + freq_hint + 1.0)
+    n_panels = max(int(np.ceil(eta_max / h)), 64)
+    edges = np.linspace(0.0, eta_max, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    pts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes[None, :]).ravel()
+    wall = np.tile(wts, n_panels) * half
+    base = np.asarray(g(pts), dtype=float) * pts ** (n - 1) * wall
+    mu = n / 2.0 - 1.0
+    ys = np.linspace(0.0, y_max, num_y)
+    vals = np.empty_like(ys)
+    pref = (2.0 * np.pi) ** (-n / 2.0)
+    limit = 1.0 / (2.0 ** mu * math.gamma(mu + 1.0))
+    for i, yv in enumerate(ys):
+        if yv == 0.0:
+            vals[i] = pref * limit * np.sum(base)
+        else:
+            vals[i] = pref * np.sum(base * bessel_tilde(mu, pts * yv))
+    return RadialProfile(y=ys, values=vals, scale=1.0, n=n)
+
+
+class TestDirectProfile:
+    @pytest.mark.parametrize("which, t, band", [("K0", 1.0, "low"),
+                                                ("K0", 10.0, "low"),
+                                                ("K1", 3.0, "low")])
+    @pytest.mark.parametrize("chunk", [1, 1 << 15, 1 << 24])
+    def test_matches_per_radius_loop(self, monkeypatch, which, t, band, chunk):
+        # Blocks of one radius, of about 2^15 Bessel samples (the
+        # default) and one block of all radii give the loop's profile.
+        g, eta_max, hint, y_max = direct_inputs(which, t, band)
+        ref = reference_profile_direct(g, 2, eta_max, hint, y_max)
+        monkeypatch.setattr(kernels, "_DENSE_CHUNK", chunk)
+        new = kernels._profile_direct(g, 2, eta_max, hint, y_max)
+        assert np.array_equal(new.y, ref.y)
+        assert np.array_equal(new.values, ref.values)
+
+    def test_same_output_on_one_thread(self, on_one_thread):
+        g, eta_max, hint, y_max = direct_inputs("K0", 3.0, "low")
+        threaded = kernels._profile_direct(g, 2, eta_max, hint, y_max)
+        inline = on_one_thread(kernels._profile_direct, g, 2, eta_max, hint, y_max)
+        assert np.array_equal(inline.values, threaded.values)
+
+    @pytest.mark.parametrize("t", [1.0, 10.0])
+    def test_agrees_with_radial_inverse_fourier(self, t):
+        # The oracle refines to its default relative tolerance of 1e-8;
+        # the two agree to about 7e-15 of the peak.
+        g, eta_max, hint, y_max = direct_inputs("K0", t, "low")
+        prof = kernels._profile_direct(g, 2, eta_max, hint, y_max)
+        peak = np.max(np.abs(prof.values))
+        for i in range(0, len(prof.y), 53):
+            exact = radial_inverse_fourier(g, 2, float(prof.y[i]))
+            assert abs(prof.values[i] - exact) <= 1e-8 * peak
 
 
 class TestFitPowerLaw:
