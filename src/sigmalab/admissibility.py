@@ -33,7 +33,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .params import ModelParams, derive_constants
+from .params import (ModelParams, derive_constants, require_valid,
+                     threshold_n0, threshold_n1)
 
 __all__ = [
     "TheoremId", "Endpoint", "Constraint", "AdmissibleInterval",
@@ -221,11 +222,15 @@ def gn_window(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
 
 
 def admissible_interval(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
-    """Full admissible p-interval: intersection of every hypothesis of the theorem."""
+    """Full admissible p-interval: intersection of every hypothesis of the theorem.
+
+    Raises ValueError naming the violations when the parameters break a
+    standing assumption.
+    """
     theorem = TheoremId(theorem)
-    sigma, delta = params.sigma, params.delta
-    n, q, m, s = params.n, params.q, params.m, params.s
-    constants = derive_constants(params)
+    require_valid(params)
+    sigma = params.sigma
+    n, q, s = params.n, params.q, params.s
     fam = theorem.family
     constraints: list[Constraint] = []
 
@@ -238,23 +243,24 @@ def admissible_interval(theorem: TheoremId, params: ModelParams) -> AdmissibleIn
         return None
 
     if theorem.is_b:
-        failed = gate("n > n1", n > constants.n1, f"n = {n}, n1 = {constants.n1}")
+        n1 = threshold_n1(params)
+        failed = gate("n > n1", n > n1, f"n = {n}, n1 = {n1}")
     else:
-        failed = gate("parabolic band floor(n/2) < n0",
-                      constants.half_n_floor < constants.n0,
-                      f"floor(n/2) = {constants.half_n_floor}, n0 = {constants.n0}")
+        half, n0 = n // 2, threshold_n0(params)
+        failed = gate("parabolic band floor(n/2) < n0", half < n0,
+                      f"floor(n/2) = {half}, n0 = {n0}")
     if failed:
         return failed
 
     if fam == 3:
         failed = gate("0 < s < sigma", 0 < s < sigma, f"s = {s}, sigma = {sigma}")
     elif fam == 4:
-        failed = gate("sigma < s <= sigma + n/q",
-                      sigma < s <= sigma + Fraction(n) / q,
-                      f"s = {s}, sigma + n/q = {sigma + Fraction(n) / q}")
+        top = sigma + Fraction(n) / q
+        failed = gate("sigma < s <= sigma + n/q", sigma < s <= top,
+                      f"s = {s}, sigma + n/q = {top}")
     elif fam in (5, 6):
-        failed = gate("s > sigma + n/q", s > sigma + Fraction(n) / q,
-                      f"s = {s}, sigma + n/q = {sigma + Fraction(n) / q}")
+        top = sigma + Fraction(n) / q
+        failed = gate("s > sigma + n/q", s > top, f"s = {s}, sigma + n/q = {top}")
     if failed:
         return failed
 

@@ -67,7 +67,10 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
+    # items(raw=True) gives the same entries as dict(parser[name]),
+    # [DEFAULT] included, without an interpolation lookup per key.
+    return {name: dict(parser.items(name, raw=True))
+            for name in parser.sections()}
 
 
 def _check_sections(cfg: dict[str, dict[str, str]],
@@ -167,9 +170,14 @@ def _params_cells(params: ModelParams) -> dict[str, str]:
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+    _write_cells(path, fieldnames,
+                 ([_fmt(row.get(name, "")) for name in fieldnames] for row in rows))
+
+
+def _write_cells(path: str, fieldnames: list[str], rows) -> None:
+    """Write rows of already formatted cells as a schema-1 CSV."""
     lines = ["# schema=1", ",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(name, "")) for name in fieldnames))
+    lines.extend(",".join(cells) for cells in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -227,24 +235,18 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed
-        row = {"case": label, "theorem": theorem.value}
-        row.update(_params_cells(params))
-        row.update({
-            "interval": _interval_text(interval),
-            "empty": int(interval.empty),
-            "gate_failed": int(gate_failed),
-            "empty_reason": interval.empty_reason or "",
-        })
-        rows.append(row)
+        rows.append([label, theorem.value, *_params_cells(params).values(),
+                     _interval_text(interval), str(int(interval.empty)),
+                     str(int(gate_failed)), interval.empty_reason or ""])
 
+    # Both files are written from the same formatted cells.
     fields = ["case", "theorem", *_params_cells(cases[0][2]).keys(),
               "interval", "empty", "gate_failed", "empty_reason"]
-    _write_csv(os.path.join(out_dir, "admissible.csv"), fields, rows)
+    _write_cells(os.path.join(out_dir, "admissible.csv"), fields, rows)
     with open(os.path.join(out_dir, "admissible.ndjson"), "w",
               encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps({k: _fmt(v) for k, v in row.items()},
-                                sort_keys=False) + "\n")
+        fh.writelines(json.dumps(dict(zip(fields, cells))) + "\n"
+                      for cells in rows)
     if strict and gate_failures:
         print(f"admissible: {gate_failures} gate failure(s)", file=sys.stderr)
         return EXIT_ASSERT

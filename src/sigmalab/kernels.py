@@ -18,6 +18,11 @@ evaluated at rho = scale * eta with the scale chosen so the scaled
 multiplier has O(1) support (t^{-1/(2 delta)} at small times,
 t^{-1/(2(sigma-delta))} at large times).  L^1 norms are invariant under
 this dilation; L^r norms pick up the factor scale^{n(1-1/r)}.
+
+scipy.special is imported on first use by bessel_tilde and
+_profile_direct, its only callers here (radial_inverse_fourier and the
+n = 2 kernel profile reach it through them), so importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from math import floor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, j0, jv
 
 from .dispersion import cutoff_chi, kernel_values
 from .params import ModelParams, as_fraction
@@ -89,6 +93,8 @@ def bessel_tilde(mu: float, s):
     n = 2 transform kernel, is scipy's j0 itself: J_0 is finite at 0 and
     rounds to its limit 1 below s = 1e-8, so it needs no substitution.
     """
+    from scipy.special import gamma as gamma_fn, j0, jv
+
     if mu < -0.5:
         raise ValueError("order must be >= -1/2")
     s_arr = np.asarray(s, dtype=float)
@@ -335,6 +341,8 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     the same sum over the same products as on its own, so the profile
     is the same for any number of cores or threads.
     """
+    from scipy.special import gamma as gamma_fn
+
     nodes, wts = np.polynomial.legendre.leggauss(16)
     h = np.pi / (y_max + freq_hint + 1.0)
     n_panels = max(int(np.ceil(eta_max / h)), 64)

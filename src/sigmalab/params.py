@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import floor
+from functools import lru_cache
 from typing import Optional, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -34,10 +34,18 @@ def as_fraction(value: RationalLike | float) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return _parse_fraction(value)
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+@lru_cache(maxsize=4096)
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction of a string.  Configs repeat a few hundred distinct
+    values across thousands of cases, and a Fraction is immutable, so
+    the parsed values are shared."""
+    return Fraction(text.strip())
 
 
 @dataclass(frozen=True)
@@ -158,24 +166,46 @@ class ValidationReport:
         return self.ok
 
 
-def derive_constants(params: ModelParams) -> DerivedConstants:
-    """Compute the structural constants s0, n0, n1, r in exact arithmetic.
+def threshold_n0(params: ModelParams) -> Fraction:
+    """Dimension threshold n0 = (6 delta - 2 sigma) / (sigma - 2 delta)
+    of the parabolic band floor(n/2) < n0; needs delta < sigma/2."""
+    sigma, delta = params.sigma, params.delta
+    # Both terms scaled by the product of the two denominators: one
+    # Fraction of two integers instead of six Fraction operations, as
+    # every validation computes n0.
+    a = sigma.numerator * delta.denominator
+    b = delta.numerator * sigma.denominator
+    return Fraction(6 * b - 2 * a, a - 2 * b)
 
-    Raises ValueError when q == m (n1 would divide by zero).
-    """
+
+def threshold_n1(params: ModelParams) -> Fraction:
+    """Loss-of-decay dimension threshold n1 = 4 m q (sigma - delta) / (q - m)
+    of the B-variant gate n > n1; needs m < q."""
+    q, m = params.q, params.m
+    return 4 * m * q * (params.sigma - params.delta) / (q - m)
+
+
+def require_valid(params: ModelParams) -> None:
+    """Raise ValueError naming every violated standing assumption."""
     report = validate(params)
     if not report.ok:
         raise ValueError("invalid parameters: " + "; ".join(report.violations))
-    sigma, delta, mu = params.sigma, params.delta, params.mu
-    n, q, m = params.n, params.q, params.m
-    if q == m:
-        raise ValueError("q == m: loss-of-decay threshold n1 undefined")
-    half = floor(Fraction(n, 2))
+
+
+def derive_constants(params: ModelParams) -> DerivedConstants:
+    """Compute the structural constants s0, n0, n1, r in exact arithmetic.
+
+    Raises ValueError naming the violations when the parameters break a
+    standing assumption (q == m among them, where n1 would divide by
+    zero).
+    """
+    require_valid(params)
+    sigma, delta = params.sigma, params.delta
+    half = params.n // 2
     s0 = (2 + half) * (sigma - 2 * delta)
-    n0 = (6 * delta - 2 * sigma) / (sigma - 2 * delta)
-    n1 = 4 * m * q * (sigma - delta) / (q - m)
-    r = 1 / (1 + Fraction(1, 1) / q - 1 / m)
-    return DerivedConstants(s0=s0, n0=n0, n1=n1, r=r, half_n_floor=half)
+    r = 1 / (1 + Fraction(1, 1) / params.q - 1 / params.m)
+    return DerivedConstants(s0=s0, n0=threshold_n0(params),
+                            n1=threshold_n1(params), r=r, half_n_floor=half)
 
 
 def validate(params: ModelParams) -> ValidationReport:
@@ -216,5 +246,4 @@ def validate(params: ModelParams) -> ValidationReport:
 
 def parabolic_band_holds(params: ModelParams) -> bool:
     """Gate floor(n/2) < n0 used by the A-variant theorems."""
-    n0 = (6 * params.delta - 2 * params.sigma) / (params.sigma - 2 * params.delta)
-    return floor(Fraction(params.n, 2)) < n0
+    return params.n // 2 < threshold_n0(params)

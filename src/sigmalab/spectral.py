@@ -151,7 +151,11 @@ class BlowUpError(RuntimeError):
 
 
 def make_grid(n: int, L: float, N: int) -> TorusGrid:
-    """Build a periodic grid; rejects odd N and unsupported dimensions."""
+    """Build a periodic grid on [-L, L)^n.
+
+    Raises ValueError unless n is 1, 2 or 3, N is a power of two >= 16
+    and L is positive.
+    """
     return TorusGrid(n=n, L=float(L), N=int(N))
 
 

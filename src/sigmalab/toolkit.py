@@ -1,5 +1,8 @@
 """Standalone numerical utilities: the Duhamel integral bound and
 Faa di Bruno combinatorics for higher derivatives of compositions.
+
+scipy.integrate is imported by duhamel_integral on its first call, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from math import factorial, log
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Partition", "duhamel_integral", "duhamel_bound",
@@ -41,6 +43,8 @@ def duhamel_integral(alpha: float, beta: float, t: float) -> float:
     the integral is split at t/2 and each half handled by adaptive
     Gauss-Kronrod.
     """
+    from scipy.integrate import quad
+
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:

@@ -1,6 +1,8 @@
 """Exact exponent intervals, decay weights and interpolation exponents."""
 
+import re
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sigmalab.admissibility import (TheoremId, admissible_interval,
                                     exponent_lower_bound, gn_theta, gn_window,
                                     loss_of_decay_weights)
-from sigmalab.params import ModelParams
+from sigmalab.params import ModelParams, derive_constants
 
 SET1 = dict(sigma=2, delta="9/10", mu=1, q=5, m=1)
 SET2 = dict(sigma=2, delta="7/8", mu=1, q=4, m=1)
@@ -75,6 +77,52 @@ class TestGates:
     def test_b_variant_lower_bound_is_one_plus_structural_gate(self):
         assert exponent_lower_bound(TheoremId.T2B,
                                     ModelParams.make(**dict(SET2, n=9))) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.builds(
+        lambda sigma, k, q, j, n, s: ModelParams.make(
+            sigma=sigma, delta=sigma / 2 * Fraction(k, 20), q=q,
+            m=1 + (q - 1) * Fraction(j, 10), n=n, s=s),
+        sigma=st.integers(2, 8).map(lambda i: Fraction(i, 2)),
+        # n0 = (3k - 40)/(20 - k): negative for k <= 13, up to 17 at k = 19.
+        k=st.integers(1, 19),
+        q=st.integers(3, 12).map(lambda i: Fraction(i, 2)),
+        j=st.integers(0, 9), n=st.integers(1, 24),
+        s=st.integers(0, 40).map(lambda i: Fraction(i, 4))))
+    def test_first_gate_matches_derived_constants(self, params):
+        """The n > n1 and floor(n/2) < n0 gates read the same constants,
+        and say the same, as derive_constants."""
+        constants = derive_constants(params)
+        n = params.n
+        for theorem in TheoremId:
+            interval = admissible_interval(theorem, params)
+            gate = interval.active_constraints[0]
+            if theorem.is_b:
+                ok = n > constants.n1
+                assert gate.label == "n > n1"
+                assert gate.value == f"n = {n}, n1 = {constants.n1}"
+            else:
+                half = floor(Fraction(n, 2))
+                assert half == constants.half_n_floor
+                ok = half < constants.n0
+                assert gate.label == "parabolic band floor(n/2) < n0"
+                assert gate.value == f"floor(n/2) = {half}, n0 = {constants.n0}"
+            assert gate.kind == "gate" and gate.active == (not ok)
+            if not ok:
+                assert interval.empty
+                assert interval.empty_reason == f"gate: {gate.label}"
+
+    @pytest.mark.parametrize("overrides,violation", [
+        (dict(q=2, m=2), "1 <= m < q violated"),
+        (dict(sigma=1, delta="1/2"), "delta in (0, sigma/2) violated"),
+        (dict(mu=0), "mu > 0 violated"),
+        (dict(sigma="1/2", delta="1/8"), "sigma >= 1 violated"),
+    ])
+    def test_invalid_parameters_raise(self, overrides, violation):
+        params = ModelParams.make(**{**SET1, "n": 3, **overrides})
+        for theorem in (TheoremId.T2A, TheoremId.T2B):
+            with pytest.raises(ValueError, match=re.escape(violation)):
+                admissible_interval(theorem, params)
 
 
 class TestWindows:

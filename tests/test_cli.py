@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, schemas and determinism."""
 
+import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +59,20 @@ class TestArgumentHandling:
         code = main(["admissible", "--config", str(cfg),
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+
+    def test_load_config_reads_default_section(self, tmp_path):
+        text = ("[DEFAULT]\nmu = 1\nq = 5\n"
+                "[model]\nsigma = 2\ndelta = 9/10\nnote = 50%\n"
+                "[case a]\ntheorem = T2A\nq = 4\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(text)
+        expected = {name: dict(parser[name]) for name in parser.sections()}
+        assert expected["case a"] == {"theorem": "T2A", "q": "4", "mu": "1"}
+        assert cli._load_config(str(cfg)) == expected
 
 
 class TestAdmissible:
@@ -271,3 +290,55 @@ class TestDeterminism:
                          "--out", str(out)]) == EXIT_OK
         for child in sorted(out1.iterdir()):
             assert read(child) == read(out2 / child.name)
+
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _run_fresh(code: str, tmp_path) -> list[str]:
+    """Run `code` in a fresh interpreter with sigmalab on its path; return
+    the scipy modules loaded at its end."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    script = (f"import json, sys\nout = {str(tmp_path)!r}\n{code}\n"
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.'))))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy is imported only by the commands that call it."""
+
+    def test_admissible_and_evolve_leave_scipy_unloaded(self, tmp_path):
+        (tmp_path / "evolve.ini").write_text(_EVOLVE.format(N=32, store_every=5))
+        loaded = _run_fresh(
+            "import sigmalab, sigmalab.cli\n"
+            "from sigmalab.cli import main\n"
+            "assert main(['admissible', '--preset', 'paper-examples',"
+            " '--out', out]) == 0\n"
+            "assert main(['evolve', '--config', out + '/evolve.ini',"
+            " '--out', out]) == 0\n", tmp_path)
+        assert loaded == []
+        assert (tmp_path / "admissible.csv").exists()
+        assert (tmp_path / "evolve.csv").exists()
+
+    @pytest.mark.parametrize("args,module,output,row", [
+        ("'toolkit', '--preset', 'bell-check'", "scipy.integrate",
+         "toolkit.csv", "duhamel,"),
+        ("'kernel-norm', '--config', out + '/n2.ini'", "scipy.special",
+         "kernel_norm.csv", "low,1,1/4,1,2,"),
+    ], ids=["bell-check", "kernel-norm-n2"])
+    def test_commands_that_need_scipy_load_it(self, tmp_path, args, module,
+                                              output, row):
+        (tmp_path / "n2.ini").write_text(
+            _MODEL_1D.replace("n = 1", "n = 2")
+            + "[sweep low]\nwhich = K0\nband = low\nregime = large_t\n"
+            "t_min = 1\nt_max = 10\npoints = 5\n")
+        loaded = _run_fresh(
+            "from sigmalab.cli import main\n"
+            f"assert main([{args}, '--out', out]) == 0\n", tmp_path)
+        assert module in loaded
+        assert row in (tmp_path / output).read_text()

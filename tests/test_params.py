@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigmalab.params import (ModelParams, as_fraction, derive_constants,
-                             parabolic_band_holds, validate)
+                             parabolic_band_holds, threshold_n0, validate)
 
 
 class TestAsFraction:
@@ -87,6 +87,13 @@ class TestDerivedConstants:
         assert c.n0 == Fraction(-1)
         assert c.n1 == Fraction(6)
         assert c.r == Fraction(2)
+
+    @given(st.fractions(min_value=1, max_value=20, max_denominator=60),
+           st.integers(1, 99))
+    def test_n0_matches_rational_formula(self, sigma, k):
+        delta = sigma / 2 * Fraction(k, 100)
+        n0 = threshold_n0(ModelParams(sigma=sigma, delta=delta))
+        assert n0 == (6 * delta - 2 * sigma) / (sigma - 2 * delta)
 
     def test_degenerate_q_equals_m_rejected(self):
         p = ModelParams.make(q=2, m=2)
