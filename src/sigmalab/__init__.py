@@ -4,8 +4,8 @@ equations u_tt + (-Delta)^sigma u + mu (-Delta)^delta u_t = f(u, u_t).
 Sub-modules
 -----------
 params         exact-rational model parameters and derived constants
-dispersion     characteristic roots and Fourier multiplier kernels
-admissibility  exact-arithmetic exponent intervals and decay weights
+dispersion     Fourier multiplier kernels and the frequency cutoff
+admissibility  exact-arithmetic exponent intervals
 kernels        physical-space kernel norms and power-law fits
 spectral       periodic pseudo-spectral linear/semilinear solver
 toolkit        Duhamel integral bound and Faa di Bruno combinatorics
@@ -13,29 +13,23 @@ cli            reproducible experiment command line (``sigmalab``)
 """
 
 from .params import (
-    DerivedConstants, ModelParams, ValidationReport, as_fraction,
-    derive_constants, parabolic_band_holds, validate,
+    ModelParams, ValidationReport, as_fraction, parabolic_band_holds, validate,
 )
 from .dispersion import (
-    BoundReport, KernelPair, RootPair, RootRegime,
-    characteristic_roots, coalescence_radius, cutoff_chi, kernel_hat,
-    kernel_hat_dt, kernel_hat_oscillatory, kernel_values, kernel_dt_values,
-    large_freq_factor, pointwise_bound_check,
+    coalescence_radius, cutoff_chi, kernel_dt_values, kernel_values,
 )
 from .admissibility import (
-    AdmissibleInterval, Constraint, DecayWeights, Endpoint, TheoremId,
-    ThetaResult, admissible_interval, exponent_lower_bound, gn_theta,
-    gn_window, loss_of_decay_weights,
+    AdmissibleInterval, Constraint, Endpoint, TheoremId, admissible_interval,
+    gn_window,
 )
 from .kernels import (
-    DecayFit, QuadConfig, QuadratureError, RadialProfile, bessel_tilde,
-    fit_power_law, kernel_l1_norm, kernel_lr_norm, kernel_profile,
-    radial_inverse_fourier, theoretical_exponent,
+    DecayFit, RadialProfile, bessel_tilde, fit_power_law, kernel_lr_norm,
+    kernel_profile, theoretical_exponent,
 )
 from .spectral import (
-    BlowUpError, Field, Snapshot, TorusGrid, Trajectory, dump_field,
-    gaussian_field, gevrey_energy, linear_evolve, load_field, lq_norm,
-    make_grid, riesz_apply, semilinear_solve, write_norms_csv, zero_field,
+    BlowUpError, Field, Snapshot, TorusGrid, Trajectory, gaussian_field,
+    gevrey_energy, linear_evolve, lq_norm, make_grid, semilinear_solve,
+    zero_field,
 )
 from .toolkit import (
     Partition, composite_derivative, duhamel_bound, duhamel_integral,
@@ -47,27 +41,20 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # params
-    "ModelParams", "DerivedConstants", "ValidationReport", "as_fraction",
-    "derive_constants", "validate", "parabolic_band_holds",
+    "ModelParams", "ValidationReport", "as_fraction", "validate",
+    "parabolic_band_holds",
     # dispersion
-    "RootRegime", "RootPair", "KernelPair", "BoundReport",
-    "characteristic_roots", "kernel_hat", "kernel_hat_dt", "kernel_values",
-    "kernel_dt_values", "kernel_hat_oscillatory", "large_freq_factor",
-    "coalescence_radius", "pointwise_bound_check", "cutoff_chi",
+    "kernel_values", "kernel_dt_values", "coalescence_radius", "cutoff_chi",
     # admissibility
     "TheoremId", "Endpoint", "Constraint", "AdmissibleInterval",
-    "DecayWeights", "ThetaResult", "admissible_interval",
-    "exponent_lower_bound", "gn_window", "loss_of_decay_weights", "gn_theta",
+    "admissible_interval", "gn_window",
     # kernels
-    "QuadConfig", "QuadratureError", "DecayFit", "RadialProfile",
-    "bessel_tilde", "radial_inverse_fourier", "kernel_profile",
-    "kernel_l1_norm", "kernel_lr_norm", "fit_power_law",
-    "theoretical_exponent",
+    "DecayFit", "RadialProfile", "bessel_tilde", "kernel_profile",
+    "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
     # spectral
     "TorusGrid", "Field", "Snapshot", "Trajectory", "BlowUpError",
-    "make_grid", "zero_field", "gaussian_field", "riesz_apply",
-    "linear_evolve", "semilinear_solve", "lq_norm", "gevrey_energy",
-    "write_norms_csv", "dump_field", "load_field",
+    "make_grid", "zero_field", "gaussian_field", "linear_evolve",
+    "semilinear_solve", "lq_norm", "gevrey_energy",
     # toolkit
     "Partition", "duhamel_integral", "duhamel_bound",
     "faa_di_bruno_partitions", "composite_derivative",

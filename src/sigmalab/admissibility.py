@@ -8,10 +8,7 @@ intersection of
   n > n1 in the B-variants),
 * a Gagliardo-Nirenberg application window,
 * regularity lower bounds (p > 1 + ceil(s - sigma) or p > 1 + s - sigma),
-* dimension and s-range gates,
-
-together with the loss-of-decay weight shifts eps1..eps4 used by the
-B-variants.
+* dimension and s-range gates.
 
 Theorem naming: T2..T6 are the five existence theorems (data classes
 L^m cap L^q with increasing Sobolev smoothness s), each in an A variant
@@ -33,14 +30,11 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional
 
-from .params import (ModelParams, derive_constants, require_valid,
-                     threshold_n0, threshold_n1)
+from .params import ModelParams, require_valid, threshold_n0, threshold_n1
 
 __all__ = [
     "TheoremId", "Endpoint", "Constraint", "AdmissibleInterval",
-    "DecayWeights", "ThetaResult",
-    "exponent_lower_bound", "gn_window", "admissible_interval",
-    "loss_of_decay_weights", "gn_theta",
+    "gn_window", "admissible_interval",
 ]
 
 
@@ -109,33 +103,6 @@ class AdmissibleInterval:
         return True
 
 
-@dataclass(frozen=True)
-class DecayWeights:
-    """Loss-of-decay shifts and the resulting (1+tau)^gamma weight exponents.
-
-    f1, f2s, f3, f4s are the exponents gamma of the four solution-space
-    weights (1+tau)^gamma, already including the eps shifts; with all
-    eps = 0 they equal the unshifted linear-theory weights.
-    """
-
-    eps1: Fraction
-    eps2: Fraction
-    eps3: Fraction
-    eps4: Fraction
-    f1: Fraction
-    f2s: Fraction
-    f3: Fraction
-    f4s: Fraction
-
-
-@dataclass(frozen=True)
-class ThetaResult:
-    """Interpolation exponent with its admissible-range flag."""
-
-    theta: Fraction
-    in_range: bool
-
-
 def _structural_bound(theorem: TheoremId, params: ModelParams) -> Optional[Fraction]:
     """Exact structural lower bound for p, or None when no finite bound exists
     (nonpositive denominator)."""
@@ -157,19 +124,6 @@ def _structural_bound(theorem: TheoremId, params: ModelParams) -> Optional[Fract
         # Worked-example arithmetic: no additive unit (see module docstring).
         return num / den
     return 1 + num / den
-
-
-def exponent_lower_bound(theorem: TheoremId, params: ModelParams) -> Optional[Fraction]:
-    """Exact rational lower bound on p from the structural exponent condition.
-
-    B-variants replace the structural condition by the dimension gate
-    n > n1 and return 1 (p > 1 always holds).  Returns None as the
-    "no finite bound" marker when the denominator is nonpositive.
-    """
-    theorem = TheoremId(theorem)
-    if theorem.is_b:
-        return Fraction(1)
-    return _structural_bound(theorem, params)
 
 
 def gn_window(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
@@ -317,76 +271,3 @@ def admissible_interval(theorem: TheoremId, params: ModelParams) -> AdmissibleIn
     return AdmissibleInterval(lower, upper, False,
                               active_constraints=tuple(constraints))
 
-
-def loss_of_decay_weights(theorem: TheoremId, params: ModelParams) -> DecayWeights:
-    """Loss-of-decay shifts eps1..eps4 and resulting weight exponents.
-
-    A-variants: all eps = 0 (no loss of decay).  B-variants use
-
-        eps = (1 - 1/p)(-1 + n/(2(sigma-delta)) (1 - 1/r))
-
-    with the per-theorem assignments made in the existence proofs.
-    Requires p to be set for B-variants and n > n1 (so eps > 0).
-    """
-    theorem = TheoremId(theorem)
-    sigma, delta = params.sigma, params.delta
-    n, s = params.n, params.s
-    constants = derive_constants(params)
-    r = constants.r
-    fam = theorem.family
-    smooth = sigma if fam == 2 else s
-
-    base1 = 1 - Fraction(n) / (2 * (sigma - delta)) * (1 - 1 / r)
-    gamma2 = base1 - smooth / (2 * (sigma - delta))
-    gamma3 = base1 - delta / (sigma - delta)
-    gamma4 = base1 - (smooth - sigma + 2 * delta) / (2 * (sigma - delta))
-
-    zero = Fraction(0)
-    if not theorem.is_b:
-        eps1 = eps2 = eps3 = eps4 = zero
-    else:
-        if params.p is None:
-            raise ValueError("B-variant loss-of-decay weights require p")
-        if not params.n > constants.n1:
-            raise ValueError(f"B-variant requires n > n1 = {constants.n1}")
-        eps = (1 - 1 / params.p) * (-1 + Fraction(n) / (2 * (sigma - delta)) * (1 - 1 / r))
-        if fam == 6:
-            eps1 = zero
-            eps2 = smooth / (2 * (sigma - delta))
-            eps3 = delta / (sigma - delta) + eps
-            eps4 = (smooth - sigma + 2 * delta) / (2 * (sigma - delta)) + eps
-        else:
-            eps1 = eps
-            eps2 = smooth / (2 * (sigma - delta)) + eps1
-            eps3 = delta / (sigma - delta)
-            eps4 = (smooth - sigma + 2 * delta) / (2 * (sigma - delta))
-
-    return DecayWeights(
-        eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4,
-        f1=base1 + eps1,
-        f2s=gamma2 + eps2,
-        f3=gamma3 + eps3,
-        f4s=gamma4 + eps4,
-    )
-
-
-def gn_theta(s, sigma, p, p0, p1, n) -> ThetaResult:
-    """Interpolation exponent of the fractional Gagliardo-Nirenberg inequality:
-
-        theta = (1/p0 - 1/p + s/n) / (1/p0 - 1/p1 + sigma/n),
-
-    admissible when theta lies in [s/sigma, 1].  All inputs may be
-    rationals; the result is exact when they are.
-    """
-    s, sigma = Fraction(s), Fraction(sigma)
-    p, p0, p1 = Fraction(p), Fraction(p0), Fraction(p1)
-    n = Fraction(n)
-    if not (p > 1 and p0 > 1 and p1 > 1):
-        raise ValueError("p, p0, p1 must exceed 1")
-    if not (0 <= s < sigma):
-        raise ValueError("need 0 <= s < sigma")
-    den = 1 / p0 - 1 / p1 + sigma / n
-    if den == 0:
-        raise ValueError("degenerate interpolation denominator")
-    theta = (1 / p0 - 1 / p + s / n) / den
-    return ThetaResult(theta=theta, in_range=(s / sigma <= theta <= 1))

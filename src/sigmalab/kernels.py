@@ -1,4 +1,4 @@
-"""Physical-space kernel norms by radial (Hankel) quadrature and
+"""Physical-space kernel norms by radial (Hankel) transforms and
 power-law fitting of their time decay.
 
 The inverse Fourier transform of a radial multiplier g(|xi|) on R^n is
@@ -9,9 +9,10 @@ the one-dimensional Bessel-weighted integral
 
 where Jt_mu(s) = J_mu(s)/s^mu.  For n = 1 and n = 3 the kernel Jt is
 elementary (cos s and sin(s)/s up to constants), which admits a fast
-uniform-grid FFT evaluation of the whole radial profile at once; the
-general adaptive Gauss-Legendre panel quadrature is used for n = 2 and
-as an independent cross-check of the FFT path.
+uniform-grid FFT evaluation of the whole radial profile at once; n = 2
+uses a shared-panel Gauss-Legendre quadrature.  The adaptive panel
+quadrature that checks these paths is a test oracle (tests/oracles.py),
+not part of the package.
 
 Kernel norms are computed in self-similar variables: the multiplier is
 evaluated at rho = scale * eta with the scale chosen so the scaled
@@ -20,9 +21,8 @@ t^{-1/(2(sigma-delta))} at large times).  L^1 norms are invariant under
 this dilation; L^r norms pick up the factor scale^{n(1-1/r)}.
 
 scipy.special is imported on first use by bessel_tilde and
-_profile_direct, its only callers here (radial_inverse_fourier and the
-n = 2 kernel profile reach it through them), so importing this module
-loads numpy only.
+_profile_direct, its only callers here (the n = 2 kernel profile
+reaches it through them), so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -36,43 +36,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dispersion import cutoff_chi, kernel_values
+from .dispersion import coalescence_radius, cutoff_chi, kernel_values
 from .params import ModelParams, as_fraction
 
 __all__ = [
-    "QuadConfig", "QuadratureError", "DecayFit",
-    "bessel_tilde", "radial_inverse_fourier",
-    "kernel_profile", "kernel_l1_norm", "kernel_lr_norm",
-    "fit_power_law", "theoretical_exponent",
+    "DecayFit", "RadialProfile", "bessel_tilde", "kernel_profile",
+    "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
 ]
 
 #: Surface measure of the unit sphere S^{n-1} for n = 1, 2, 3.
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Controls for the adaptive radial quadrature.
-
-    tol : target estimated relative error.
-    max_panels : refinement budget.
-    rho_max : truncation radius; None = determined from the multiplier decay.
-    extra_freq : known oscillation frequency of the multiplier itself
-        (added to x_radius when sizing the half-oscillation panels).
-    """
-
-    tol: float = 1e-8
-    max_panels: int = 200_000
-    rho_max: Optional[float] = None
-    extra_freq: float = 0.0
-
-
-class QuadratureError(RuntimeError):
-    """Panel budget exhausted; carries the best partial value."""
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -118,82 +91,17 @@ def bessel_tilde(mu: float, s):
     return vals
 
 
-def _find_truncation(g: Callable[[np.ndarray], np.ndarray],
-                     threshold: float = 1e-14) -> tuple[float, float]:
+def _find_truncation(g: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
     """Probe |g| on a log grid; return (rho_max, peak) where |g| has
-    dropped below threshold * peak for good."""
+    dropped below 1e-14 of the peak for good."""
     probes = np.geomspace(1e-6, 1e8, 600)
     mags = np.abs(g(probes))
     peak = float(np.max(mags))
     if peak == 0.0:
         return 1.0, 0.0
-    alive = np.nonzero(mags > threshold * peak)[0]
+    alive = np.nonzero(mags > 1e-14 * peak)[0]
     rho_max = probes[alive[-1]] * 2.0 if len(alive) else 1.0
     return float(max(rho_max, 1e-3)), peak
-
-
-def _panel_quadrature(f: Callable[[np.ndarray], np.ndarray],
-                      upper: float, n_panels: int) -> float:
-    """Composite 16-point Gauss-Legendre over [0, upper] with n_panels panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (mids + half * nodes[None, :]).ravel()
-    vals = f(pts).reshape(n_panels, 16)
-    return float(half * np.sum(vals @ weights))
-
-
-def radial_inverse_fourier(multiplier: Callable[[np.ndarray], np.ndarray],
-                           n: int, x_radius: float,
-                           quad: Optional[QuadConfig] = None) -> float:
-    """Radial inverse Fourier integral at one radius |x|:
-
-        (2 pi)^{-n/2} int_0^inf m(rho) rho^{n-1} Jt_{n/2-1}(rho |x|) d rho.
-
-    Fixed Gauss-Legendre panels of half-oscillation length
-    pi/(x_radius + extra_freq), refined (panel halving) until the
-    estimated error is below quad.tol; raises QuadratureError with the
-    partial value when the panel budget runs out.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError("n must be 1, 2, or 3")
-    quad = quad or QuadConfig()
-    mu = n / 2.0 - 1.0
-
-    def integrand(rho: np.ndarray) -> np.ndarray:
-        base = np.asarray(multiplier(rho), dtype=float) * rho ** (n - 1)
-        return base * bessel_tilde(mu, rho * x_radius)
-
-    if quad.rho_max is not None:
-        upper = quad.rho_max
-    else:
-        upper, peak = _find_truncation(lambda r: np.asarray(multiplier(r), dtype=float)
-                                       * r ** (n - 1))
-        if peak == 0.0:
-            return 0.0
-
-    freq = x_radius + quad.extra_freq
-    # Half-oscillation panels, but never coarser than ~32 panels so the
-    # smooth structure of the multiplier itself is resolved.
-    h = np.pi / freq if freq > 0 else upper
-    n_panels = max(int(np.ceil(upper / h)), 32)
-
-    prefactor = (2.0 * np.pi) ** (-n / 2.0)
-    value = _panel_quadrature(integrand, upper, n_panels)
-    while True:
-        refined = _panel_quadrature(integrand, upper, 2 * n_panels)
-        err = abs(refined - value)
-        scale = max(abs(refined), 1e-300)
-        if err <= quad.tol * scale:
-            return prefactor * refined
-        if 4 * n_panels > quad.max_panels:
-            raise QuadratureError(
-                f"panel budget exhausted at {2 * n_panels} panels "
-                f"(estimated relative error {err / scale:.2e})",
-                partial=prefactor * refined)
-        n_panels *= 2
-        value = refined
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +154,6 @@ def _oscillation_hint(g_scaled: Callable[[np.ndarray], np.ndarray],
     t * scale * omega'(scale * eta).  Probes where the multiplier is
     dead (|g| < 1e-13 of the peak) are ignored.
     """
-    from .dispersion import coalescence_radius
     rho_star = coalescence_radius(params)
     eta_lo = max(1e-9, 1.05 * rho_star / scale)
     if eta_lo >= eta_max:
@@ -268,6 +175,26 @@ def _oscillation_hint(g_scaled: Callable[[np.ndarray], np.ndarray],
     omega = rr ** sigma * f
     domega = np.gradient(omega, rr)
     return float(np.max(np.abs(domega)) * t * scale)
+
+
+def _scaled_window(raw: Callable[[np.ndarray], np.ndarray], scale: float,
+                   t: float, params: ModelParams):
+    """(g, eta_max, hint) of the multiplier raw dilated by scale:
+    g(eta) = raw(scale * eta), the eta beyond which |g| has decayed and
+    the largest oscillation frequency of g there.  eta_max is None when
+    g vanishes everywhere."""
+    def g(eta: np.ndarray) -> np.ndarray:
+        return raw(scale * np.asarray(eta, dtype=float))
+
+    eta_max, peak = _find_truncation(g)
+    if peak == 0.0:
+        return g, None, 0.0
+    return g, eta_max, _oscillation_hint(g, scale, t, eta_max, params)
+
+
+def _check_dimension(n: int) -> None:
+    if n not in _SPHERE_AREA:
+        raise ValueError(f"kernel norms support n = 1, 2 or 3, not n = {n}")
 
 
 @dataclass(frozen=True)
@@ -327,13 +254,14 @@ def _profile_fft(g: Callable[[np.ndarray], np.ndarray], n: int,
 
 def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
                     eta_max: float, freq_hint: float,
-                    y_max: float, num_y: int = 800) -> RadialProfile:
-    """Radial profile by shared-panel Gauss-Legendre quadrature (any n).
+                    y_max: float) -> RadialProfile:
+    """Radial profile by shared-panel Gauss-Legendre quadrature (any n),
+    at 800 equally spaced radii from 0 to y_max.
 
     One global panel mesh fine enough for the largest output radius is
     evaluated once; each output radius reuses it with its own Bessel
     factor.  Cost grows with y_max * eta_max, so this path is for
-    moderate parameters and cross-checks.
+    moderate parameters.
 
     The radii are evaluated in blocks of about _DENSE_CHUNK Bessel
     samples, shared between the calling thread and the worker thread
@@ -352,6 +280,7 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     wall = np.tile(wts, n_panels) * half
     base = np.asarray(g(pts), dtype=float) * pts ** (n - 1) * wall
     mu = n / 2.0 - 1.0
+    num_y = 800
     ys = np.linspace(0.0, y_max, num_y)
     vals = np.empty_like(ys)
     pref = (2.0 * np.pi) ** (-n / 2.0)
@@ -663,14 +592,15 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
 
 
 def kernel_profile(which: str, a: float, t: float, band: str,
-                   params: ModelParams, n: int,
-                   y_max: Optional[float] = None) -> RadialProfile:
-    """Self-similar radial profile of F^{-1}(rho^a Khat_i band) at time t.
+                   params: ModelParams, n: int) -> RadialProfile:
+    """Self-similar radial profile of F^{-1}(rho^a Khat_i band) at time t
+    on R^n, n = 1, 2 or 3.
 
     Returns the profile of the *scaled* multiplier g(eta) = G(scale*eta)
     together with the scale; the physical profile is
     scale^n * I(scale * x).
     """
+    _check_dimension(n)
     if t <= 0:
         raise ValueError("t must be positive")
     scale = _natural_scale(t, band, params)
@@ -679,21 +609,16 @@ def kernel_profile(which: str, a: float, t: float, band: str,
     # Small-t bands containing high frequencies mix the O(1) band-edge
     # scale with the t^{-1/(2 delta)} wavefront scale; the dense
     # unscaled grid handles both at once.
-    if (y_max is None and band in ("high", "full") and t <= 1.0
-            and scale > 1.5 and n in (1, 3)):
+    if band in ("high", "full") and t <= 1.0 and scale > 1.5 and n in (1, 3):
         dense = _profile_dense(raw, n, t, params, a)
         if dense is not None:
             return dense
 
-    def g(eta: np.ndarray) -> np.ndarray:
-        return raw(scale * np.asarray(eta, dtype=float))
-
-    eta_max, peak = _find_truncation(g)
-    if peak == 0.0:
+    g, eta_max, hint = _scaled_window(raw, scale, t, params)
+    if eta_max is None:
         return RadialProfile(y=np.linspace(0, 1, 2), values=np.zeros(2),
                              scale=scale, n=n)
-    hint = _oscillation_hint(g, scale, t, eta_max, params)
-    target_y = y_max if y_max is not None else 3.0 * hint + 60.0
+    target_y = 3.0 * hint + 60.0
     for _ in range(4):
         if n in (1, 3):
             prof = _profile_fft(g, n, eta_max, hint, target_y)
@@ -706,7 +631,7 @@ def kernel_profile(which: str, a: float, t: float, band: str,
         total = np.trapezoid(integrand, prof.y)
         cut = prof.y > 0.85 * target_y
         tail = np.trapezoid(integrand[cut], prof.y[cut])
-        if y_max is not None or total == 0.0 or tail < 1e-4 * total:
+        if total == 0.0 or tail < 1e-4 * total:
             break
         next_samples = 8.0 * eta_max * (2.0 * target_y + hint + 1.0) / np.pi
         if next_samples > _DENSE_SAMPLE_CAP / 4:
@@ -718,28 +643,25 @@ def kernel_profile(which: str, a: float, t: float, band: str,
 def kernel_lr_norm(which: str, a: float, t: float, r: float,
                    params: ModelParams, n: int,
                    band: str = "full") -> float:
-    """L^r(R^n) norm of F^{-1}(|xi|^a Khat_i(t, .) band(|xi|)).
+    """L^r(R^n) norm of F^{-1}(|xi|^a Khat_i(t, .) band(|xi|)), n = 1, 2
+    or 3.
 
     r = 2 uses Parseval on the multiplier directly; r = inf is the max
     of the radial profile; other r integrate the profile.  The
     self-similar dilation contributes the factor scale^{n(1-1/r)}.
     """
+    _check_dimension(n)
     if r < 1:
         raise ValueError("r must be in [1, inf]")
     scale = _natural_scale(t, band, params)
     if r == 2.0:
-        raw = _kernel_multiplier(which, a, t, band, params)
-
-        def g2(eta):
-            return raw(scale * np.asarray(eta, dtype=float))
-
-        eta_max, peak = _find_truncation(g2)
-        if peak == 0.0:
+        g, eta_max, hint = _scaled_window(
+            _kernel_multiplier(which, a, t, band, params), scale, t, params)
+        if eta_max is None:
             return 0.0
-        hint = _oscillation_hint(g2, scale, t, eta_max, params)
         step = min(np.pi / (8.0 * (hint + 1.0)), eta_max / 4096.0)
         eta = np.arange(0.0, eta_max, step)
-        dens = np.asarray(g2(eta), dtype=float) ** 2 * eta ** (n - 1)
+        dens = np.asarray(g(eta), dtype=float) ** 2 * eta ** (n - 1)
         integral = scale ** n * np.trapezoid(dens, eta)
         norm_sq = (2.0 * np.pi) ** (-n) * _SPHERE_AREA[n] * integral
         return float(np.sqrt(norm_sq))
@@ -756,12 +678,6 @@ def kernel_lr_norm(which: str, a: float, t: float, r: float,
         integral += (_SPHERE_AREA[n] * prof.tail_coeff ** r
                      * y_edge ** (n - 2.0 * r) / (2.0 * r - n))
     return float(integral ** (1.0 / r) * scale ** (n * (1.0 - 1.0 / r)))
-
-
-def kernel_l1_norm(which: str, a: float, t: float, band: str,
-                   params: ModelParams, n: int) -> float:
-    """L^1(R^n) norm of F^{-1}(|xi|^a Khat_i(t, .) band(|xi|))."""
-    return kernel_lr_norm(which, a, t, 1.0, params, n, band=band)
 
 
 def fit_power_law(samples: Sequence[tuple[float, float]],

@@ -14,10 +14,13 @@ decay exponents) come out as exact rationals, not floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
+
+__all__ = ["ModelParams", "ValidationReport", "as_fraction", "validate",
+           "parabolic_band_holds"]
 
 RationalLike = Union[int, str, Fraction]
 
@@ -104,18 +107,6 @@ class ModelParams:
             p=None if p is None else as_fraction(p),
         )
 
-    def with_(self, **kwargs) -> "ModelParams":
-        """Return a copy with the given fields replaced (rationals coerced)."""
-        coerced = {}
-        for key, value in kwargs.items():
-            if key == "n":
-                coerced[key] = int(value)
-            elif key == "p":
-                coerced[key] = None if value is None else as_fraction(value)
-            else:
-                coerced[key] = as_fraction(value)
-        return replace(self, **coerced)
-
     # Float views, convenient for the numerical modules.
     @property
     def sigma_f(self) -> float:
@@ -128,24 +119,6 @@ class ModelParams:
     @property
     def mu_f(self) -> float:
         return float(self.mu)
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Structural constants derived from ModelParams.
-
-    s0 : regularity loss, (2 + floor(n/2)) (sigma - 2 delta)
-    n0 : dimension threshold, (6 delta - 2 sigma) / (sigma - 2 delta)
-    n1 : loss-of-decay dimension threshold, 4 m q (sigma - delta) / (q - m)
-    r  : Young conjugate defined by 1 + 1/q = 1/r + 1/m
-    half_n_floor : floor(n/2)
-    """
-
-    s0: Fraction
-    n0: Fraction
-    n1: Fraction
-    r: Fraction
-    half_n_floor: int
 
 
 @dataclass(frozen=True)
@@ -190,22 +163,6 @@ def require_valid(params: ModelParams) -> None:
     report = validate(params)
     if not report.ok:
         raise ValueError("invalid parameters: " + "; ".join(report.violations))
-
-
-def derive_constants(params: ModelParams) -> DerivedConstants:
-    """Compute the structural constants s0, n0, n1, r in exact arithmetic.
-
-    Raises ValueError naming the violations when the parameters break a
-    standing assumption (q == m among them, where n1 would divide by
-    zero).
-    """
-    require_valid(params)
-    sigma, delta = params.sigma, params.delta
-    half = params.n // 2
-    s0 = (2 + half) * (sigma - 2 * delta)
-    r = 1 / (1 + Fraction(1, 1) / params.q - 1 / params.m)
-    return DerivedConstants(s0=s0, n0=threshold_n0(params),
-                            n1=threshold_n1(params), r=r, half_n_floor=half)
 
 
 def validate(params: ModelParams) -> ValidationReport:

@@ -18,9 +18,7 @@ frequency spacing pi/L resolves the surviving low-frequency content.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +27,8 @@ from .params import ModelParams
 
 __all__ = [
     "TorusGrid", "Field", "Snapshot", "Trajectory", "BlowUpError",
-    "make_grid", "riesz_apply", "linear_evolve", "semilinear_solve",
+    "make_grid", "linear_evolve", "semilinear_solve",
     "lq_norm", "gevrey_energy", "gaussian_field", "zero_field",
-    "write_norms_csv", "dump_field", "load_field",
 ]
 
 
@@ -175,25 +172,6 @@ def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
     mesh = grid.meshgrid()
     r2 = sum(x * x for x in mesh)
     return Field(grid, amplitude * np.exp(-r2 / width**2), "physical")
-
-
-def riesz_apply(field: Field, a: float) -> Field:
-    """Apply |D|^a: multiply spectral coefficients by |xi|^a.
-
-    The zero mode maps to zero for a > 0; a = 0 is the identity; a < 0
-    is rejected (the torus zero mode has no negative-order Riesz image).
-    """
-    if a < 0:
-        raise ValueError("negative Riesz order not supported on the torus")
-    if a == 0:
-        return field
-    spec = field.to_spectral()
-    rho = spec.grid.rho
-    mult = np.zeros_like(rho)
-    nonzero = rho > 0
-    mult[nonzero] = rho[nonzero] ** a
-    out = Field(spec.grid, spec.values * mult, "spectral")
-    return out.to_physical() if field.space == "physical" else out
 
 
 def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
@@ -382,49 +360,3 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
     norm_factor = grid.dx ** grid.n / grid.N ** grid.n
     return float(norm_factor * np.sum(weight * band * dens))
 
-
-def write_norms_csv(trajectory: Trajectory, path: str,
-                    q_list: Sequence[float] = (2.0,),
-                    s_riesz: float = 0.0) -> None:
-    """CSV export: one row per snapshot with the configured norms."""
-    header_qs = ",".join(f"norm_L{q:g}" for q in q_list)
-    lines = ["# schema=1",
-             f"t,{header_qs},norm_riesz_s,norm_ut"]
-    for snap in trajectory.snapshots:
-        cells = [f"{snap.t:.12g}"]
-        for q in q_list:
-            cells.append(f"{lq_norm(snap.u, q):.12e}")
-        cells.append(f"{lq_norm(riesz_apply(snap.u, s_riesz), 2.0):.12e}")
-        cells.append(f"{lq_norm(snap.ut, 2.0):.12e}")
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_DUMP_MAGIC = b"SGL1"
-
-
-def dump_field(field: Field, t: float, path: str) -> None:
-    """Flat binary dump: magic, n, N, L, t, then row-major complex pairs
-    (little-endian float64)."""
-    phys = field.to_physical()
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<iidd", phys.grid.n, phys.grid.N,
-                             phys.grid.L, t))
-        interleaved = np.empty(phys.values.size * 2, dtype="<f8")
-        interleaved[0::2] = phys.values.real.ravel()
-        interleaved[1::2] = phys.values.imag.ravel()
-        fh.write(interleaved.tobytes())
-
-
-def load_field(path: str) -> tuple[Field, float]:
-    """Read a dump_field file back into a physical-space Field."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not a field dump file")
-        n, N, L, t = struct.unpack("<iidd", fh.read(24))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    values = (raw[0::2] + 1j * raw[1::2]).reshape((N,) * n)
-    return Field(make_grid(n, L, N), values, "physical"), t

@@ -16,16 +16,15 @@ itself.  The criterion is asserted as specified rather than weakened.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sigmalab.admissibility import TheoremId, admissible_interval
-from sigmalab.dispersion import (coalescence_radius, kernel_hat,
-                                 kernel_hat_oscillatory, kernel_values)
-from sigmalab.kernels import (bessel_tilde, fit_power_law, kernel_l1_norm,
-                              kernel_lr_norm)
+from sigmalab.dispersion import coalescence_radius, kernel_values
+from sigmalab.kernels import bessel_tilde, fit_power_law, kernel_lr_norm
 from sigmalab.params import ModelParams
 from sigmalab.spectral import (Snapshot, gaussian_field, gevrey_energy,
                                linear_evolve, lq_norm, make_grid,
@@ -33,6 +32,8 @@ from sigmalab.spectral import (Snapshot, gaussian_field, gevrey_energy,
 from sigmalab.toolkit import (composite_derivative, duhamel_bound,
                               duhamel_integral, faa_di_bruno_partitions)
 from sigmalab import cli
+
+from oracles import kernel_hat_oscillatory
 
 P_REF = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
 
@@ -98,13 +99,13 @@ def test_criterion_03_oscillatory_representation_equivalence():
     worst = 0.0
     for rho in np.geomspace(2 * rho_star, 50.0, 20):
         for t in np.geomspace(0.1, 10.0, 10):
-            general = kernel_hat(t, float(rho), P_REF)
-            trig = kernel_hat_oscillatory(t, float(rho), P_REF)
+            k0, k1 = kernel_values(t, float(rho), P_REF)
+            trig0, trig1 = kernel_hat_oscillatory(t, float(rho), P_REF)
             envelope = math.exp(-0.5 * P_REF.mu_f
                                 * float(rho) ** (2 * P_REF.delta_f) * t)
-            denom = abs(general.k0) + abs(general.k1) + envelope
-            worst = max(worst, abs(general.k0 - trig.k0) / denom,
-                        abs(general.k1 - trig.k1) / denom)
+            denom = abs(k0) + abs(k1) + envelope
+            worst = max(worst, abs(k0 - trig0) / denom,
+                        abs(k1 - trig1) / denom)
     ok = worst <= 1e-10
     report("03", ok, "general and trigonometric kernel forms agree to 1e-10 "
            f"above the oscillatory threshold (worst {worst:.2e})")
@@ -132,7 +133,8 @@ def test_criterion_04_linear_decay_rate():
 def test_criterion_05a_high_band_small_t_rate():
     start = time.perf_counter()
     ts = np.geomspace(0.05, 0.5, 6)
-    vals = [(float(t), kernel_l1_norm("K0", 0.0, float(t), "high", P_REF, 1))
+    vals = [(float(t), kernel_lr_norm("K0", 0.0, float(t), 1.0, P_REF, 1,
+                                          band="high"))
             for t in ts]
     fit = fit_power_law(vals, (0.04, 0.6))
     sup_vals = [(float(t), kernel_lr_norm("K0", 0.0, float(t), math.inf,
@@ -153,7 +155,8 @@ def test_criterion_05a_high_band_small_t_rate():
 def test_criterion_05b_low_band_small_t_rate():
     start = time.perf_counter()
     ts = np.geomspace(0.02, 0.5, 7)
-    vals = [(float(t), kernel_l1_norm("K1", 0.0, float(t), "low", P_REF, 1))
+    vals = [(float(t), kernel_lr_norm("K1", 0.0, float(t), 1.0, P_REF, 1,
+                                          band="low"))
             for t in ts]
     fit = fit_power_law(vals, (0.01, 0.6))
     elapsed = time.perf_counter() - start
@@ -166,7 +169,8 @@ def test_criterion_05b_low_band_small_t_rate():
 
 def test_criterion_06_large_t_rate():
     ts = np.geomspace(10.0, 1000.0, 9)
-    vals = [(float(t), kernel_l1_norm("K0", 1.0, float(t), "full", P_REF, 1))
+    vals = [(float(t), kernel_lr_norm("K0", 1.0, float(t), 1.0, P_REF, 1,
+                                          band="full"))
             for t in ts]
     fit = fit_power_law(vals, (9.0, 1100.0))
     target = -2.0 / 3.0
@@ -270,7 +274,7 @@ def test_criterion_09_semilinear_smoke():
     # setting used throughout (the variant with the parabolic-band gate
     # is empty at these parameters, so a fixed known-good exponent is
     # exercised instead).
-    params = P_REF.with_(p=3)
+    params = replace(P_REF, p=Fraction(3))
     grid = make_grid(1, 200.0, 2048)
     snap = Snapshot(0.0, gaussian_field(grid, 1e-3), zero_field(grid))
     blew_up = False

@@ -1,4 +1,4 @@
-"""Exact exponent intervals, decay weights and interpolation exponents."""
+"""Exact exponent intervals, their gates and the Gagliardo-Nirenberg windows."""
 
 import re
 from fractions import Fraction
@@ -7,10 +7,8 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalab.admissibility import (TheoremId, admissible_interval,
-                                    exponent_lower_bound, gn_theta, gn_window,
-                                    loss_of_decay_weights)
-from sigmalab.params import ModelParams, derive_constants
+from sigmalab.admissibility import TheoremId, admissible_interval, gn_window
+from sigmalab.params import ModelParams, threshold_n0, threshold_n1
 
 SET1 = dict(sigma=2, delta="9/10", mu=1, q=5, m=1)
 SET2 = dict(sigma=2, delta="7/8", mu=1, q=4, m=1)
@@ -75,8 +73,12 @@ class TestGates:
         assert admissible_interval(TheoremId.T5A, params).empty
 
     def test_b_variant_lower_bound_is_one_plus_structural_gate(self):
-        assert exponent_lower_bound(TheoremId.T2B,
-                                    ModelParams.make(**dict(SET2, n=9))) == 1
+        # B variants trade the structural exponent bound for the gate n > n1.
+        interval = admissible_interval(TheoremId.T2B,
+                                       ModelParams.make(**dict(SET2, n=9)))
+        labels = [c.label for c in interval.active_constraints]
+        assert labels[0] == "n > n1"
+        assert "structural exponent bound" not in labels
 
     @settings(max_examples=150, deadline=None)
     @given(st.builds(
@@ -91,22 +93,20 @@ class TestGates:
         s=st.integers(0, 40).map(lambda i: Fraction(i, 4))))
     def test_first_gate_matches_derived_constants(self, params):
         """The n > n1 and floor(n/2) < n0 gates read the same constants,
-        and say the same, as derive_constants."""
-        constants = derive_constants(params)
-        n = params.n
+        and say the same, as threshold_n1 and threshold_n0."""
+        n, n0, n1 = params.n, threshold_n0(params), threshold_n1(params)
         for theorem in TheoremId:
             interval = admissible_interval(theorem, params)
             gate = interval.active_constraints[0]
             if theorem.is_b:
-                ok = n > constants.n1
+                ok = n > n1
                 assert gate.label == "n > n1"
-                assert gate.value == f"n = {n}, n1 = {constants.n1}"
+                assert gate.value == f"n = {n}, n1 = {n1}"
             else:
                 half = floor(Fraction(n, 2))
-                assert half == constants.half_n_floor
-                ok = half < constants.n0
+                ok = half < n0
                 assert gate.label == "parabolic band floor(n/2) < n0"
-                assert gate.value == f"floor(n/2) = {half}, n0 = {constants.n0}"
+                assert gate.value == f"floor(n/2) = {half}, n0 = {n0}"
             assert gate.kind == "gate" and gate.active == (not ok)
             if not ok:
                 assert interval.empty
@@ -156,41 +156,3 @@ class TestWindows:
         if interval.contains(Fraction(num)):
             assert not interval.empty
 
-
-class TestDecayWeights:
-    def test_t2b_reference_case(self):
-        params = ModelParams.make(**dict(SET2, n=9, p=4))
-        w = loss_of_decay_weights(TheoremId.T2B, params)
-        assert w.eps1 == Fraction(3, 2)
-        assert w.eps2 == Fraction(43, 18)
-        assert w.f1 == Fraction(-1, 2)
-
-    def test_t6b_has_zero_first_shift(self):
-        params = ModelParams.make(**dict(SET2, n=9, s=5, p=4))
-        w = loss_of_decay_weights(TheoremId.T6B, params)
-        assert w.eps1 == 0
-        assert w.eps3 > Fraction(7, 9)  # delta/(sigma-delta) plus a positive shift
-
-    def test_shifts_vanish_at_large_p_limit_monotonicity(self):
-        # eps1 = (1-1/p)(-1 + spread) increases with p toward its limit.
-        base = dict(SET2, n=9)
-        w4 = loss_of_decay_weights(TheoremId.T2B,
-                                   ModelParams.make(**base, p=4))
-        w9 = loss_of_decay_weights(TheoremId.T2B,
-                                   ModelParams.make(**base, p=9))
-        assert w9.eps1 > w4.eps1
-
-
-class TestTheta:
-    def test_theta_formula_exact(self):
-        # theta = (1/p0 - 1/p + s/n) / (1/p0 - 1/p1 + sigma/n)
-        # (1/2 - 1/10 + 1/10)/(1/2 - 1/2 + 1/5) = (1/2)/(1/5) = 5/2
-        res = gn_theta(s=1, sigma=2, p=10, p0=2, p1=2, n=10)
-        assert res.theta == Fraction(5, 2)
-        assert not res.in_range  # 5/2 > 1
-
-    def test_theta_in_range(self):
-        res = gn_theta(s=1, sigma=2, p=3, p0=2, p1=6, n=6)
-        # (1/2 - 1/3 + 1/6)/(1/2 - 1/6 + 1/3) = (1/3)/(2/3) = 1/2
-        assert res.theta == Fraction(1, 2)
-        assert res.in_range  # within [s/sigma, 1] = [1/2, 1]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schemas and determinism."""
 
 import configparser
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import sigmalab
 from sigmalab import cli
 from sigmalab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NONCONV, EXIT_OK,
                           PRESETS, main)
@@ -342,3 +344,34 @@ class TestColdStart:
             f"assert main([{args}, '--out', out]) == 0\n", tmp_path)
         assert module in loaded
         assert row in (tmp_path / output).read_text()
+
+
+_BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+
+class TestPublicSurface:
+    LIBRARY = ("params", "dispersion", "admissibility", "kernels", "spectral",
+               "toolkit")
+
+    def test_every_exported_name_resolves(self):
+        exported = set()
+        for name in (*self.LIBRARY, "cli"):
+            module = importlib.import_module(f"sigmalab.{name}")
+            for attr in module.__all__:
+                getattr(module, attr)
+            if name in self.LIBRARY:
+                exported |= set(module.__all__)
+                for attr in module.__all__:
+                    assert getattr(sigmalab, attr) is getattr(module, attr)
+        assert set(sigmalab.__all__) == exported | {"__version__"}
+        assert len(sigmalab.__all__) == len(set(sigmalab.__all__))
+
+    def test_benchmark_tracer_targets_exist(self, monkeypatch):
+        # bench/tracer.py patches each layer name in its owner's namespace;
+        # a missing name fails here as it would fail every traced run.
+        monkeypatch.syspath_prepend(_BENCH)
+        tracer = importlib.import_module("tracer")
+        original = cli.kernel_lr_norm
+        with tracer.patched(tracer.Tracer()):
+            assert cli.kernel_lr_norm is not original
+        assert cli.kernel_lr_norm is original

@@ -1,16 +1,17 @@
 """Characteristic roots, multiplier kernels and pointwise envelopes."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalab.dispersion import (RootRegime, _roots_arrays, characteristic_roots,
-                                 coalescence_radius, cutoff_chi, kernel_dt_values,
-                                 kernel_hat, kernel_hat_dt,
-                                 kernel_hat_oscillatory, kernel_values,
-                                 large_freq_factor, pointwise_bound_check)
+from sigmalab.dispersion import (coalescence_radius, cutoff_chi, kernel_dt_values,
+                                 kernel_values)
 from sigmalab.params import ModelParams
+
+from oracles import kernel_hat_oscillatory, large_freq_factor
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1)
 P_SET1 = ModelParams.make(sigma=2, delta="9/10", mu=1)
@@ -25,6 +26,29 @@ def _phi(z):
         generic = np.where(small, 1.0, (np.exp(zs) - 1.0) / np.where(small, 1.0, zs))
     series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0
     return np.where(small, series, generic)
+
+
+def _roots_arrays(rho, params):
+    """Vectorised roots of lam^2 + a lam + b = 0, a = mu rho^{2 delta},
+    b = rho^{2 sigma}: returns (lam1, lam2, disc) with lam arrays complex.
+
+    lam2 = (-a - sqrt(disc))/2 is always well conditioned.  For real
+    distinct roots lam1 is computed through Vieta, lam1 = -2b/(a + sqrt),
+    to avoid the a - sqrt cancellation when b << a^2.
+    """
+    a = params.mu_f * rho ** (2.0 * params.delta_f)
+    b = rho ** (2.0 * params.sigma_f)
+    disc = a * a - 4.0 * b
+    sq = np.sqrt(disc.astype(complex))
+    lam2 = (-a - sq) / 2.0
+    denom = a + sq
+    # rho = 0 has a = b = 0; both roots vanish.
+    safe = np.where(np.abs(denom) > 0.0, denom, 1.0)
+    lam1_real_branch = -2.0 * b / safe
+    lam1_generic = (-a + sq) / 2.0
+    lam1 = np.where(disc > 0.0, lam1_real_branch, lam1_generic)
+    lam1 = np.where(np.abs(denom) > 0.0, lam1, 0.0 + 0.0j)
+    return lam1, lam2, disc
 
 
 def reference_kernel_values(t, rho, params):
@@ -109,35 +133,32 @@ def oracle_lattice(params):
 
 
 class TestRoots:
+    """The roots behind reference_kernel_values."""
+
     def test_vieta_sum_and_product(self):
+        rho = np.array([1e-3, 0.1, 0.5, 1.0, 5.0, 50.0])
         for params in (P_SMALL, P_SET1):
             sigma, delta, mu = params.sigma_f, params.delta_f, params.mu_f
-            for rho in [1e-3, 0.1, 0.5, 1.0, 5.0, 50.0]:
-                pair = characteristic_roots(rho, params)
-                s = pair.lambda1 + pair.lambda2
-                prod = pair.lambda1 * pair.lambda2
-                assert abs(s + mu * rho ** (2 * delta)) <= 1e-10 * abs(s)
-                assert abs(prod - rho ** (2 * sigma)) <= 1e-10 * abs(prod)
+            lam1, lam2, _ = _roots_arrays(rho, params)
+            s, prod = lam1 + lam2, lam1 * lam2
+            assert np.all(np.abs(s + mu * rho ** (2 * delta)) <= 1e-10 * np.abs(s))
+            assert np.all(np.abs(prod - rho ** (2 * sigma)) <= 1e-10 * np.abs(prod))
 
     def test_regime_switch_at_coalescence_radius(self):
         rho_star = coalescence_radius(P_SMALL)
-        below = characteristic_roots(0.5 * rho_star, P_SMALL)
-        above = characteristic_roots(2.0 * rho_star, P_SMALL)
-        assert below.regime == RootRegime.real_distinct
-        assert above.regime == RootRegime.complex_conjugate
-        assert below.lambda1.imag == 0.0 and below.lambda2.imag == 0.0
-        assert above.lambda1.imag != 0.0
-        assert above.lambda1 == above.lambda2.conjugate()
+        lam1, lam2, disc = _roots_arrays(np.array([0.5, 2.0]) * rho_star, P_SMALL)
+        assert disc[0] > 0.0 > disc[1]
+        assert lam1[0].imag == 0.0 and lam2[0].imag == 0.0
+        assert lam1[1].imag != 0.0
+        assert lam1[1] == lam2[1].conjugate()
 
     def test_coalescence_radius_value(self):
         # rho* = (mu^2/4)^{1/(2 sigma - 4 delta)} = 1/4 for sigma=1, delta=1/4
         assert coalescence_radius(P_SMALL) == pytest.approx(0.25, rel=1e-12)
 
     def test_roots_have_negative_real_part(self):
-        for rho in [0.01, 0.25, 1.0, 10.0]:
-            pair = characteristic_roots(rho, P_SET1)
-            assert pair.lambda1.real < 0
-            assert pair.lambda2.real < 0
+        lam1, lam2, _ = _roots_arrays(np.array([0.01, 0.25, 1.0, 10.0]), P_SET1)
+        assert np.all(lam1.real < 0) and np.all(lam2.real < 0)
 
 
 class TestKernels:
@@ -180,14 +201,11 @@ class TestKernels:
 
     def test_scalar_and_array_paths_agree(self):
         rho = 1.3
-        pair = kernel_hat(0.7, rho, P_SET1)
-        k0, k1 = kernel_values(0.7, np.array([rho]), P_SET1)
-        assert pair.k0 == pytest.approx(k0[0], rel=1e-14)
-        assert pair.k1 == pytest.approx(k1[0], rel=1e-14)
-        dpair = kernel_hat_dt(0.7, rho, P_SET1)
-        d0, d1 = kernel_dt_values(0.7, np.array([rho]), P_SET1)
-        assert dpair.k0 == pytest.approx(d0[0], rel=1e-14)
-        assert dpair.k1 == pytest.approx(d1[0], rel=1e-14)
+        for values in (kernel_values, kernel_dt_values):
+            scalar = values(0.7, rho, P_SET1)
+            array = values(0.7, np.array([rho]), P_SET1)
+            for got, want in zip(scalar, array):
+                assert float(got) == pytest.approx(want[0], rel=1e-14)
 
     def test_continuity_across_coalescence(self):
         # The stable evaluation must be smooth through the double-root
@@ -272,11 +290,11 @@ class TestOscillatoryForm:
             envelope = np.exp(-0.5 * P_SMALL.mu_f * rho ** (2 * P_SMALL.delta_f)
                               * 0.1)
             for t in np.geomspace(0.1, 10.0, 8):
-                general = kernel_hat(t, float(rho), P_SMALL)
-                trig = kernel_hat_oscillatory(t, float(rho), P_SMALL)
-                denom = abs(general.k0) + abs(general.k1) + envelope
-                assert abs(general.k0 - trig.k0) <= 1e-10 * denom
-                assert abs(general.k1 - trig.k1) <= 1e-10 * denom
+                k0, k1 = kernel_values(t, float(rho), P_SMALL)
+                trig0, trig1 = kernel_hat_oscillatory(t, float(rho), P_SMALL)
+                denom = abs(k0) + abs(k1) + envelope
+                assert abs(k0 - trig0) <= 1e-10 * denom
+                assert abs(k1 - trig1) <= 1e-10 * denom
 
     def test_factor_rejects_low_frequencies(self):
         with pytest.raises(ValueError):
@@ -288,11 +306,21 @@ class TestOscillatoryForm:
 
 class TestEnvelopes:
     def test_pointwise_bounds_hold_on_lattice(self):
+        # At or below the coalescence radius |K0hat| and |K1hat|/t are
+        # at most C e^{-rho^{2(sigma-delta)} t / mu}; above it both are
+        # at most C e^{-0.99 (mu/2) rho^{2 delta} t}.  C = 2 here.
+        sigma, delta, mu = P_SMALL.sigma_f, P_SMALL.delta_f, P_SMALL.mu_f
+        rho_star = coalescence_radius(P_SMALL)
         for t in [0.1, 1.0, 5.0, 20.0]:
             for rho in [0.05, 0.2, 1.0, 3.0, 20.0]:
-                report = pointwise_bound_check(t, rho, P_SMALL)
-                assert report.ratio_k0 <= 2.0
-                assert report.ratio_k1 <= 2.0
+                k0, k1 = kernel_values(t, rho, P_SMALL)
+                if rho <= rho_star:
+                    env0 = math.exp(-rho ** (2 * (sigma - delta)) * t / mu)
+                    env1 = t * env0
+                else:
+                    env0 = env1 = math.exp(-0.99 * 0.5 * mu * rho ** (2 * delta) * t)
+                assert abs(k0) <= 2.0 * env0
+                assert abs(k1) <= 2.0 * env1
 
 
 class TestCutoff:

@@ -1,4 +1,4 @@
-"""Hankel quadrature, kernel norms and decay-rate prediction/fitting."""
+"""Radial transforms, kernel norms and decay-rate prediction/fitting."""
 
 import math
 import sys
@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from sigmalab.kernels import (QuadConfig, QuadratureError, bessel_tilde,
-                              fit_power_law, kernel_l1_norm, kernel_lr_norm,
-                              kernel_profile, radial_inverse_fourier,
-                              theoretical_exponent)
+from sigmalab.kernels import (bessel_tilde, fit_power_law, kernel_lr_norm,
+                              kernel_profile, theoretical_exponent)
 from sigmalab import kernels
 from sigmalab.dispersion import cutoff_chi
 from sigmalab.kernels import _SPHERE_AREA, RadialProfile
 from sigmalab.params import ModelParams
+
+from oracles import QuadConfig, QuadratureError, radial_inverse_fourier
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
 
@@ -114,11 +114,6 @@ class TestRadialInverseFourier:
 
 
 class TestKernelNorms:
-    def test_l1_alias(self):
-        a = kernel_l1_norm("K0", 0.0, 2.0, "low", P_SMALL, 1)
-        b = kernel_lr_norm("K0", 0.0, 2.0, 1.0, P_SMALL, 1, band="low")
-        assert a == b
-
     def test_parseval_matches_radial_profile(self):
         # r = 2 goes through the multiplier directly; recomputing the
         # same norm from the physical-space profile must agree closely.
@@ -159,6 +154,18 @@ class TestKernelNorms:
     def test_invalid_r_rejected(self):
         with pytest.raises(ValueError):
             kernel_lr_norm("K0", 0.0, 1.0, 0.5, P_SMALL, 1)
+
+    @pytest.mark.parametrize("n", [0, 4, 5])
+    @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+    def test_unsupported_dimension_rejected_before_any_work(self, monkeypatch, n, r):
+        def no_work(*args):
+            raise AssertionError("the multiplier was sampled")
+
+        monkeypatch.setattr(kernels, "kernel_values", no_work)
+        with pytest.raises(ValueError, match=f"not n = {n}"):
+            kernel_lr_norm("K0", 0.0, 2.0, r, P_SMALL, n, band="low")
+        with pytest.raises(ValueError, match=f"not n = {n}"):
+            kernel_profile("K0", 0.0, 2.0, "low", P_SMALL, n)
 
 
 def reference_profile_dense(raw, n, t, params, a):

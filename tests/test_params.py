@@ -1,12 +1,12 @@
-"""Exact-rational parameter handling and derived constants."""
+"""Exact-rational parameter handling and the dimension thresholds."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sigmalab.params import (ModelParams, as_fraction, derive_constants,
-                             parabolic_band_holds, threshold_n0, validate)
+from sigmalab.params import (ModelParams, as_fraction, parabolic_band_holds,
+                             require_valid, threshold_n0, threshold_n1, validate)
 
 
 class TestAsFraction:
@@ -37,13 +37,6 @@ class TestModelParams:
         assert p.s == Fraction(3, 2)
         assert p.p is None
 
-    def test_with_replaces_fields(self):
-        p = ModelParams.make()
-        q = p.with_(s="5/2", p=3)
-        assert q.s == Fraction(5, 2)
-        assert q.p == Fraction(3)
-        assert p.s == Fraction(0)
-
     def test_validate_accepts_reference_parameters(self):
         assert validate(ModelParams.make(sigma=1, delta="1/4", mu=1)).ok
         assert validate(ModelParams.make(sigma=2, delta="9/10", mu=1, q=5)).ok
@@ -72,21 +65,14 @@ class TestDerivedConstants:
     def test_reference_set_one(self):
         # sigma=2, delta=9/10, q=5, m=1, n=3
         p = ModelParams.make(sigma=2, delta="9/10", mu=1, n=3, q=5, m=1)
-        c = derive_constants(p)
-        assert c.s0 == Fraction(3, 5)          # (2+1)(2 - 9/5)
-        assert c.n0 == Fraction(7)             # (27/5-4)/(1/5)
-        assert c.n1 == Fraction(11, 2)         # 4*1*5*(11/10)/4
-        assert c.r == Fraction(5)              # 1+1/5 = 1/r + 1
-        assert c.half_n_floor == 1
+        assert threshold_n0(p) == Fraction(7)       # (27/5-4)/(1/5)
+        assert threshold_n1(p) == Fraction(11, 2)   # 4*1*5*(11/10)/4
 
     def test_reference_set_small(self):
         # sigma=1, delta=1/4, q=2, m=1, n=1
         p = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
-        c = derive_constants(p)
-        assert c.s0 == Fraction(1)
-        assert c.n0 == Fraction(-1)
-        assert c.n1 == Fraction(6)
-        assert c.r == Fraction(2)
+        assert threshold_n0(p) == Fraction(-1)
+        assert threshold_n1(p) == Fraction(6)
 
     @given(st.fractions(min_value=1, max_value=20, max_denominator=60),
            st.integers(1, 99))
@@ -97,5 +83,5 @@ class TestDerivedConstants:
 
     def test_degenerate_q_equals_m_rejected(self):
         p = ModelParams.make(q=2, m=2)
-        with pytest.raises(ValueError):
-            derive_constants(p)
+        with pytest.raises(ValueError, match="1 <= m < q violated"):
+            require_valid(p)
