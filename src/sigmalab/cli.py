@@ -20,7 +20,6 @@ or gate violations; interval gates only under ``--strict``),
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
@@ -57,19 +56,40 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep keys case-sensitive
+    """Sections of a flat INI config with [DEFAULT] merged into each, read
+    in one pass: `[name]`, `key = value` or `key: value` (the first `=`
+    or `:` splits), blank and full-line `#` / `;` comment lines only."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
-    # items(raw=True) gives the same entries as dict(parser[name]),
-    # [DEFAULT] included, without an interpolation lookup per key.
-    return {name: dict(parser.items(name, raw=True))
-            for name in parser.sections()}
+    sections: dict[str, dict[str, str]] = {}
+    entries = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        value = line.strip()
+        if not value or value[0] in "#;":
+            continue
+        where = f"{path!r} line {lineno}"
+        if line[0].isspace():
+            raise ConfigError(f"{where}: indented (continuation) line")
+        if value[0] == "[" and value[-1] == "]" and len(value) > 2:
+            if value[1:-1] in sections:
+                raise ConfigError(f"{where}: duplicate section {value}")
+            entries = sections[value[1:-1]] = {}
+            continue
+        if entries is None:
+            raise ConfigError(f"{where}: key before any [section]")
+        eq, colon = value.find("="), value.find(":")
+        cut = eq if colon < 0 or 0 <= eq < colon else colon
+        if cut <= 0:
+            raise ConfigError(f"{where}: expected [section] or key = value")
+        key = value[:cut].rstrip()
+        if key in entries:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        entries[key] = value[cut + 1:].strip()
+    defaults = sections.pop("DEFAULT", {})
+    return {name: {**defaults, **keys} for name, keys in sections.items()}
 
 
 def _check_sections(cfg: dict[str, dict[str, str]],
@@ -93,16 +113,22 @@ def _check_sections(cfg: dict[str, dict[str, str]],
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
-def _model_from(cfg: dict[str, dict[str, str]],
-                overrides: Optional[dict[str, str]] = None) -> ModelParams:
+def _params_from(cfg: dict[str, dict[str, str]],
+                 overrides: Optional[dict[str, str]] = None,
+                 section: str = "model") -> ModelParams:
+    """ModelParams of [model] and the model keys of `overrides`, unchecked."""
     fields = dict(cfg.get("model", {}))
     if overrides:
         fields.update({k: v for k, v in overrides.items() if k in _MODEL_KEYS})
     try:
-        params = ModelParams.make(**{k: v for k, v in fields.items() if k != "p"},
-                                  p=fields.get("p"))
+        return ModelParams.make(**fields)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
+        raise ConfigError(f"invalid model parameters: {exc} "
+                          f"in section [{section}]") from exc
+
+
+def _model_from(cfg: dict[str, dict[str, str]]) -> ModelParams:
+    params = _params_from(cfg)
     report = validate(params)
     if not report.ok:
         raise ConfigError("invalid model parameters: " + "; ".join(report.violations))
@@ -202,7 +228,7 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
     _check_sections(cfg, {"model": _MODEL_KEYS, "admissible": ("theorems",)},
                     prefixes={"case": _MODEL_KEYS + ("theorem",)})
     rows = []
-    cases: list[tuple[str, TheoremId, ModelParams]] = []
+    cases: list[tuple[str, TheoremId, ModelParams, str]] = []
     case_sections = [s for s in cfg if s.startswith("case ")]
     if case_sections:
         for section in case_sections:
@@ -214,23 +240,28 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
             except ValueError as exc:
                 raise ConfigError(f"unknown theorem {entries['theorem']!r} "
                                   f"in section [{section}]") from exc
-            cases.append((section[5:], theorem, _model_from(cfg, entries)))
+            cases.append((section[5:], theorem,
+                          _params_from(cfg, entries, section), section))
     else:
         names = [t.strip() for t in
                  cfg.get("admissible", {}).get("theorems", "").split(",")
                  if t.strip()]
         if not names:
             raise ConfigError("no theorems configured")
-        params = _model_from(cfg)
+        params = _params_from(cfg)
         for name in names:
             try:
-                cases.append((name, TheoremId(name), params))
+                cases.append((name, TheoremId(name), params, "model"))
             except ValueError as exc:
                 raise ConfigError(f"unknown theorem {name!r}") from exc
 
+    # admissible_interval validates each case, once, before any output.
     gate_failures = 0
-    for label, theorem, params in cases:
-        interval = admissible_interval(theorem, params)
+    for label, theorem, params, section in cases:
+        try:
+            interval = admissible_interval(theorem, params)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} in section [{section}]") from exc
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed

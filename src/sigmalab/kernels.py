@@ -649,10 +649,13 @@ def kernel_lr_norm(which: str, a: float, t: float, r: float,
     r = 2 uses Parseval on the multiplier directly; r = inf is the max
     of the radial profile; other r integrate the profile.  The
     self-similar dilation contributes the factor scale^{n(1-1/r)}.
+    Raises ValueError unless t > 0 and r >= 1.
     """
     _check_dimension(n)
     if r < 1:
         raise ValueError("r must be in [1, inf]")
+    if not t > 0:
+        raise ValueError("t must be positive")
     scale = _natural_scale(t, band, params)
     if r == 2.0:
         g, eta_max, hint = _scaled_window(

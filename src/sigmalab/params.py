@@ -162,7 +162,7 @@ def require_valid(params: ModelParams) -> None:
     """Raise ValueError naming every violated standing assumption."""
     report = validate(params)
     if not report.ok:
-        raise ValueError("invalid parameters: " + "; ".join(report.violations))
+        raise ValueError("invalid model parameters: " + "; ".join(report.violations))
 
 
 def validate(params: ModelParams) -> ValidationReport:

@@ -18,6 +18,7 @@ frequency spacing pi/L resolves the surviving low-frequency content.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,9 +192,22 @@ def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
     )
 
 
-def _irfft(v: np.ndarray, size: int, out=None) -> np.ndarray:
-    """Real field on the size^n lattice from its rfftn half spectrum."""
-    return np.fft.irfftn(v, (size,) * v.ndim, tuple(range(v.ndim)), out=out)
+def _irfft(v: np.ndarray, size: int, out=None, cols=None) -> np.ndarray:
+    """Real field on the size^n lattice from its rfftn half spectrum, as
+    irfftn computes it; the leading-axis inverse FFTs write into `cols`."""
+    for axis in range(v.ndim - 1):
+        v = np.fft.ifft(v, size, axis, out=cols)
+    return np.fft.irfft(v, size, v.ndim - 1, out=out)
+
+
+def _blocks(n: int, N: int, M: int):
+    """(coarse, fine) index pairs of the low blocks: one per combination
+    of the halves [:h], [-h:] of the leading axes (h = N/2)."""
+    h = N // 2
+    halves = ((slice(0, h), slice(0, h)), (slice(h, N), slice(M - h, M)))
+    for combo in itertools.product(halves, repeat=n - 1):
+        yield (tuple(c for c, _ in combo) + (slice(0, h + 1),),
+               tuple(f for _, f in combo) + (slice(0, h + 1),))
 
 
 def _pad_half(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -202,8 +216,8 @@ def _pad_half(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     of the last (h = N/2); Nyquist modes go half to +N/2, half to -N/2."""
     n, N, M = v.ndim, 2 * (v.shape[-1] - 1), 2 * (out.shape[-1] - 1)
     h = N // 2
-    lead = np.r_[0:h, M - h:M]
-    out[np.ix_(*([lead] * (n - 1)), np.arange(h + 1))] = v * (M / N) ** n
+    for coarse, fine in _blocks(n, N, M):
+        np.multiply(v[coarse], (M / N) ** n, out=out[fine])
     out[..., h] *= 0.5
     for axis in range(n - 1):
         rows = np.moveaxis(out, axis, 0)
@@ -212,16 +226,21 @@ def _pad_half(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncate_half(f: np.ndarray, N: int) -> np.ndarray:
-    """Inverse of _pad_half; a leading axis's Nyquist row averages -N/2
-    and +N/2 (irfftn does so for the last axis)."""
-    n, M, h = f.ndim, 2 * (f.shape[-1] - 1), N // 2
-    lead = np.r_[0:h, M - h:M, h]
-    out = f[np.ix_(*([lead] * (n - 1)), np.arange(h + 1))] * (N / M) ** n
+def _truncate_half(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of _pad_half into the N^n half spectrum `out`, scaling and
+    averaging the M^n one f in place: a leading axis's Nyquist row
+    averages -N/2 and +N/2 (irfftn does so for the last axis)."""
+    n, M, N = f.ndim, 2 * (f.shape[-1] - 1), 2 * (out.shape[-1] - 1)
+    h = N // 2
+    low = f[..., :h + 1]
+    low *= (N / M) ** n
     for axis in range(n - 1):
-        rows = np.moveaxis(out, axis, 0)
-        rows[h] = 0.5 * (rows[h] + rows[N])
-    return out[(slice(0, N),) * (n - 1)]
+        rows = np.moveaxis(low, axis, 0)
+        rows[M - h] += rows[h]
+        rows[M - h] *= 0.5
+    for coarse, fine in _blocks(n, N, M):
+        out[coarse] = f[fine]
+    return out
 
 
 def _parseval_l2(v: np.ndarray, grid: TorusGrid) -> float:
@@ -262,8 +281,11 @@ def semilinear_solve(
     halving dt from 0.2 (n = 1, N = 512, t = 4, p = 3) gives observed
     orders of about 2 for "abs_u_p" and 1 for "abs_ut_p".  Integer p is
     taken on a 3/2-padded lattice, which de-aliases quadratic products
-    only.  Snapshots hold real physical Fields.  Raises BlowUpError when
-    the L^q norm (q = 2 by Parseval) exceeds norm_ceiling.
+    only, and by repeated multiplication rather than pow.  The work
+    buffers of the step are allocated once per solve, and every product
+    and FFT of the step writes into them.  Snapshots hold real physical
+    Fields.  Raises BlowUpError when the L^q norm (q = 2 by Parseval)
+    exceeds norm_ceiling.
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
         raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
@@ -282,37 +304,50 @@ def semilinear_solve(
     rho = grid.rho_half
     p = float(params.p) if params.p is not None else 0.0
     dealias = nonlinearity != "none" and p == int(p)
-    # Work buffers on the (3/2-padded when de-aliasing) product lattice;
-    # `padded` stays zero outside the low blocks that _pad_half writes.
-    M = 3 * grid.N // 2 if dealias else grid.N
-    phys = np.empty((M,) * grid.n)
-    padded, power = (np.zeros((M,) * (grid.n - 1) + (M // 2 + 1,),
-                              dtype=complex) for _ in range(2))
-
-    k0_h, k1_h = kernel_values(dt / 2.0, rho, params)
-    dk0_h, dk1_h = kernel_dt_values(dt / 2.0, rho, params)
-    k0_f, k1_f = kernel_values(dt, rho, params)
-    dk0_f, dk1_f = kernel_dt_values(dt, rho, params)
+    # The kernels as complex arrays, so that no product casts them.
+    k0_h, k1_h, dk0_h, dk1_h, k0_f, k1_f, dk0_f, dk1_f = (
+        k.astype(complex) for tau in (dt / 2.0, dt)
+        for k in (*kernel_values(tau, rho, params),
+                  *kernel_dt_values(tau, rho, params)))
     mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
     weight_u, weight_ut = dt * k1_h, dt * dk1_h
 
     u0, ut0 = _real_values(data.u), _real_values(data.ut)
     v, vt = np.fft.rfftn(u0), np.fft.rfftn(ut0)
+    # Work buffers on the grid and on the (3/2-padded when de-aliasing)
+    # product lattice; `padded` stays zero outside the blocks that
+    # _pad_half writes, and `cols` holds the inverse FFT's column
+    # spectrum, then the spectrum of f.
+    v_new, vt_new, mid, prod, f_mid = (np.empty_like(v) for _ in range(5))
+    M = 3 * grid.N // 2 if dealias else grid.N
+    padded, cols = (np.zeros((M,) * (grid.n - 1) + (M // 2 + 1,),
+                             dtype=complex) for _ in range(2))
+    phys, power = np.empty((M,) * grid.n), np.empty((M,) * grid.n)
     snapshots = [Snapshot(data.t, Field(grid, u0, "physical"),
                           Field(grid, ut0, "physical"))]
     for step in range(1, steps + 1):
-        v_new = k0_f * v + k1_f * vt
-        vt_new = dk0_f * v + dk1_f * vt
+        np.multiply(k0_f, v, out=v_new)
+        v_new += np.multiply(k1_f, vt, out=prod)
+        np.multiply(dk0_f, v, out=vt_new)
+        vt_new += np.multiply(dk1_f, vt, out=prod)
         if nonlinearity != "none":
-            mid = mid0 * v + mid1 * vt
-            _irfft(_pad_half(mid, padded) if dealias else mid, M, out=phys)
+            np.multiply(mid0, v, out=mid)
+            mid += np.multiply(mid1, vt, out=prod)
+            _irfft(_pad_half(mid, padded) if dealias else mid, M, out=phys,
+                   cols=cols)
             np.abs(phys, out=phys)
-            np.power(phys, p, out=phys)
-            np.fft.rfftn(phys, out=power)
-            f_mid = _truncate_half(power, grid.N) if dealias else power
-            v_new += weight_u * f_mid
-            vt_new += weight_ut * f_mid
-        v, vt = v_new, vt_new
+            if dealias and p >= 1:
+                np.copyto(power, phys)
+                for _ in range(int(p) - 1):
+                    power *= phys
+            else:
+                np.power(phys, p, out=power)
+            spectrum = np.fft.rfftn(power, out=cols if dealias else f_mid)
+            if dealias:
+                _truncate_half(spectrum, f_mid)
+            v_new += np.multiply(weight_u, f_mid, out=prod)
+            vt_new += np.multiply(weight_ut, f_mid, out=prod)
+        v, v_new, vt, vt_new = v_new, v, vt_new, vt
         t = data.t + step * dt
 
         store = step % store_every == 0 or step == steps

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigmalab
 from sigmalab import cli
@@ -77,6 +78,95 @@ class TestArgumentHandling:
         assert cli._load_config(str(cfg)) == expected
 
 
+def _chars(exclude=""):
+    """Characters up to U+3000 (which covers the Unicode spaces that
+    strip() removes) other than line breaks, controls and `exclude`."""
+    return st.characters(max_codepoint=0x3000, blacklist_categories=("Cc", "Cs"),
+                         blacklist_characters=exclude)
+
+
+_NAMES = (st.text(_chars("[]"), min_size=1, max_size=8).map(str.strip)
+          .filter(lambda name: name and name != "DEFAULT"))
+_KEYS = st.text(_chars("[=:#;"), min_size=1, max_size=8).map(str.strip).filter(bool)
+# Values often hold the delimiters and comment marks, which stay in them.
+_VALUES = st.text(st.sampled_from("=:#;[] ") | _chars(), max_size=10)
+_FILLERS = st.lists(st.sampled_from(["", "   ", "# note", "; note = 1",
+                                     "  # indented note"]), max_size=2)
+
+
+@st.composite
+def flat_configs(draw):
+    """Text in the flat INI subset: headers, optional [DEFAULT] anywhere,
+    `key = value` / `key: value` lines, blank lines and comments."""
+    sections = list(draw(st.dictionaries(
+        _NAMES, st.dictionaries(_KEYS, _VALUES, max_size=4),
+        max_size=4)).items())
+    defaults = draw(st.none() | st.dictionaries(_KEYS, _VALUES, max_size=3))
+    if defaults is not None:
+        sections.insert(draw(st.integers(0, len(sections))), ("DEFAULT", defaults))
+    lines = []
+    for name, entries in sections:
+        lines += draw(_FILLERS) + [f"[{name}]"]
+        for key, value in entries.items():
+            delimiter = draw(st.sampled_from(["=", " = ", ":", ": ", "\t=\t"]))
+            lines += draw(_FILLERS) + [key + delimiter + value]
+    return "\n".join(lines + draw(_FILLERS))
+
+
+#: Config text outside the flat subset, the line the error names and a
+#: phrase of the message.
+REJECTED_CONFIGS = {
+    "continuation": ("[model]\nsigma = 2\n  3\n", "line 3", "indented"),
+    "indented-key": ("[model]\n  sigma = 2\n", "line 2", "indented"),
+    "duplicate-section": ("[model]\nsigma = 2\n[model]\nmu = 1\n", "line 3",
+                          "duplicate section [model]"),
+    "duplicate-key": ("[model]\nsigma = 2\n\nsigma: 3\n", "line 4",
+                      "duplicate key 'sigma'"),
+    "key-before-section": ("# header\nsigma = 2\n[model]\n", "line 2",
+                           "key before any [section]"),
+    "no-delimiter": ("[model]\nsigma 2\n", "line 2", "expected [section]"),
+    "empty-key": ("[model]\n= 2\n", "line 2", "expected [section]"),
+}
+
+
+class TestConfigReader:
+    @settings(max_examples=100, deadline=None)
+    @given(text=flat_configs())
+    def test_matches_configparser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "flat.ini"
+        path.write_text(text, encoding="utf-8")
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(text)
+        expected = {name: dict(parser[name]) for name in parser.sections()}
+        assert cli._load_config(str(path)) == expected
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_CONFIGS))
+    def test_rejected_form_is_config_error(self, tmp_path, capsys, name):
+        text, line, message = REJECTED_CONFIGS[name]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        code = main(["admissible", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert f"{line}: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(),
+                                      lambda p: p.write_bytes(b"[model]\n\xff\n")],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, make):
+        cfg = tmp_path / "c.ini"
+        make(cfg)
+        code = main(["admissible", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: cannot read config")
+        assert "Traceback" not in err
+
+
 class TestAdmissible:
     def test_paper_examples_preset(self, tmp_path):
         code = main(["admissible", "--preset", "paper-examples",
@@ -101,6 +191,24 @@ class TestAdmissible:
                      "--out", str(tmp_path)]) == EXIT_OK
         assert main(["admissible", "--config", str(cfg), "--strict",
                      "--out", str(tmp_path)]) == EXIT_ASSERT
+
+
+    def test_invalid_case_after_valid_ones(self, tmp_path, capsys):
+        # Each case is validated once, by admissible_interval in the
+        # interval loop; a bad late case still writes nothing.
+        model = "sigma = 2\ndelta = 9/10\nmu = 1\nq = 5\nn = 3\ns = 0\n"
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("".join(f"[case ok{i}]\ntheorem = T2A\nm = 1\n{model}"
+                               for i in range(3))
+                       + f"[case bad]\ntheorem = T2A\nm = 5\n{model}")
+        out = tmp_path / "out"
+        code = main(["admissible", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert ("config error: invalid model parameters: 1 <= m < q violated "
+                "in section [case bad]") in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestToolkitCommand:
@@ -299,12 +407,12 @@ _SRC = str(Path(cli.__file__).resolve().parents[1])
 
 def _run_fresh(code: str, tmp_path) -> list[str]:
     """Run `code` in a fresh interpreter with sigmalab on its path; return
-    the scipy modules loaded at its end."""
+    the scipy and configparser modules loaded at its end."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
     script = (f"import json, sys\nout = {str(tmp_path)!r}\n{code}\n"
               "print(json.dumps(sorted(m for m in sys.modules "
-              "if m == 'scipy' or m.startswith('scipy.'))))\n")
+              "if m in ('scipy', 'configparser') or m.startswith('scipy.'))))\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -312,14 +420,20 @@ def _run_fresh(code: str, tmp_path) -> list[str]:
 
 
 class TestColdStart:
-    """scipy is imported only by the commands that call it."""
+    """scipy is imported only by the commands that call it, and configparser
+    by none."""
 
     def test_admissible_and_evolve_leave_scipy_unloaded(self, tmp_path):
         (tmp_path / "evolve.ini").write_text(_EVOLVE.format(N=32, store_every=5))
+        (tmp_path / "admissible.ini").write_text(
+            "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\nq = 5\nm = 1\n"
+            "n = 3\ns = 0\n[admissible]\ntheorems = T2A\n")
         loaded = _run_fresh(
             "import sigmalab, sigmalab.cli\n"
             "from sigmalab.cli import main\n"
             "assert main(['admissible', '--preset', 'paper-examples',"
+            " '--out', out]) == 0\n"
+            "assert main(['admissible', '--config', out + '/admissible.ini',"
             " '--out', out]) == 0\n"
             "assert main(['evolve', '--config', out + '/evolve.ini',"
             " '--out', out]) == 0\n", tmp_path)

@@ -155,6 +155,15 @@ class TestKernelNorms:
         with pytest.raises(ValueError):
             kernel_lr_norm("K0", 0.0, 1.0, 0.5, P_SMALL, 1)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("band", ["low", "high", "full"])
+    def test_nonpositive_time_rejected(self, band, r, t):
+        # Once a ZeroDivisionError from the natural scale (high, full),
+        # or a norm of 0.4730 at t = 0 (low band, r = 2).
+        with pytest.raises(ValueError, match="t must be positive"):
+            kernel_lr_norm("K0", 0.0, t, r, P_SMALL, 1, band=band)
+
     @pytest.mark.parametrize("n", [0, 4, 5])
     @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
     def test_unsupported_dimension_rejected_before_any_work(self, monkeypatch, n, r):

@@ -83,6 +83,34 @@ def reference_semilinear_solve(data, params, nonlinearity, t_end, dt,
     return Trajectory(snapshots=tuple(snapshots), params=params)
 
 
+# ---------------------------------------------------------------------------
+# Reference: the fancy-indexed (np.ix_) padding and truncation that the
+# block-slice forms in sigmalab.spectral replaced; they must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+def ix_pad_half(v, out):
+    n, N, M = v.ndim, 2 * (v.shape[-1] - 1), 2 * (out.shape[-1] - 1)
+    h = N // 2
+    lead = np.r_[0:h, M - h:M]
+    out[np.ix_(*([lead] * (n - 1)), np.arange(h + 1))] = v * (M / N) ** n
+    out[..., h] *= 0.5
+    for axis in range(n - 1):
+        rows = np.moveaxis(out, axis, 0)
+        rows[M - h] *= 0.5
+        rows[h] = rows[M - h]
+    return out
+
+
+def ix_truncate_half(f, N):
+    n, M, h = f.ndim, 2 * (f.shape[-1] - 1), N // 2
+    lead = np.r_[0:h, M - h:M, h]
+    out = f[np.ix_(*([lead] * (n - 1)), np.arange(h + 1))] * (N / M) ** n
+    for axis in range(n - 1):
+        rows = np.moveaxis(out, axis, 0)
+        rows[h] = 0.5 * (rows[h] + rows[N])
+    return out[(slice(0, N),) * (n - 1)]
+
+
 def plane_wave_snapshot(grid, k_index):
     """cos(xi_k x) initial displacement with zero velocity."""
     xi = 2.0 * np.pi * k_index / (2.0 * grid.L)
@@ -274,9 +302,26 @@ class TestRealStepper:
         padded = _irfft(_pad_half(np.fft.rfftn(coarse), zeros), M)
         expected = np.fft.ifftn(_pad_spectrum(np.fft.fftn(coarse))).real
         np.testing.assert_allclose(padded, expected, rtol=0, atol=1e-14)
-        truncated = _irfft(_truncate_half(np.fft.rfftn(fine), N), N)
+        truncated = _irfft(_truncate_half(
+            np.fft.rfftn(fine), np.empty_like(np.fft.rfftn(coarse))), N)
         expected = np.fft.ifftn(_truncate_spectrum(np.fft.fftn(fine), N)).real
         np.testing.assert_allclose(truncated, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_slices_match_fancy_indexing(self, n):
+        # White-noise spectra put nonzero values on every Nyquist row and
+        # corner; both forms run twice on one buffer, as the stepper does.
+        N, M = 16, 24
+        rng = np.random.default_rng(10 + n)
+        half = lambda size: (size,) * (n - 1) + (size // 2 + 1,)
+        new, old = (np.zeros(half(M), dtype=complex) for _ in range(2))
+        for _ in range(2):
+            v = np.fft.rfftn(rng.standard_normal((N,) * n))
+            assert np.array_equal(_pad_half(v, new), ix_pad_half(v, old))
+            f = np.fft.rfftn(rng.standard_normal((M,) * n))
+            expected = ix_truncate_half(f, N)  # _truncate_half scales f
+            assert np.array_equal(
+                _truncate_half(f, np.empty(half(N), dtype=complex)), expected)
 
     def test_rejects_complex_data(self):
         grid = make_grid(1, 20.0, 64)
