@@ -10,9 +10,12 @@ the one-dimensional Bessel-weighted integral
 where Jt_mu(s) = J_mu(s)/s^mu.  For n = 1 and n = 3 the kernel Jt is
 elementary (cos s and sin(s)/s up to constants), which admits a fast
 uniform-grid FFT evaluation of the whole radial profile at once; n = 2
-uses a shared-panel Gauss-Legendre quadrature.  The adaptive panel
-quadrature that checks these paths is a test oracle (tests/oracles.py),
-not part of the package.
+uses a shared-panel Gauss-Legendre quadrature.  At small t the n = 1
+and n = 3 profiles come from a dense unscaled grid whose long real DFT
+is one cache-resident four-step FFT.  The dense and the n = 2 paths
+share their blocks of work with one worker thread per step.  The
+adaptive panel quadrature that checks these paths is a test oracle
+(tests/oracles.py), not part of the package.
 
 Kernel norms are computed in self-similar variables: the multiplier is
 evaluated at rho = scale * eta with the scale chosen so the scaled
@@ -28,7 +31,6 @@ reaches it through them), so importing this module loads numpy only.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -264,7 +266,7 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     moderate parameters.
 
     The radii are evaluated in blocks of about _DENSE_CHUNK Bessel
-    samples, shared between the calling thread and the worker thread
+    samples, shared between the calling thread and a worker thread
     (_on_two_threads; scipy's Bessel functions release the GIL).  Each radius is
     the same sum over the same products as on its own, so the profile
     is the same for any number of cores or threads.
@@ -298,14 +300,13 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
 
 
 #: Sample budget for the dense unscaled FFT path.  At the cap the
-#: samples alone are about 600 MB of float64.  They are held as four
-#: residue classes, each transformed into a quarter-length half
-#: spectrum; the four spectra take up to 1 GiB together.  The classes
-#: share one buffer of quarter-length samples, which the row FFTs of
-#: each class overwrite in place with their half spectra (about 256 MB).
-#: The row FFTs are short, so pocketfft keeps no full-length
-#: temporaries; the sampling and column blocks and the copies of the
-#: rows in flight add only a few MB.
+#: samples alone are about 600 MB of float64.  They are held in one
+#: (P, _FFT_ROW) buffer that the row FFTs overwrite in place with their
+#: half spectra, a (P, _FFT_ROW/2 + 1) complex array of up to 1 GiB;
+#: the kept bins add at most a quarter of that.  The row FFTs are
+#: short, so pocketfft keeps no full-length temporaries; the sampling
+#: and column blocks and the copies of the rows in flight add only a
+#: few MB.
 _DENSE_SAMPLE_CAP = 80_000_000
 #: Samples per block of the dense path.  Its multiplier is a chain of
 #: float64 ufuncs, each of which streams a fresh temporary; at 2^15
@@ -313,56 +314,45 @@ _DENSE_SAMPLE_CAP = 80_000_000
 #: in a 2 MiB L2 instead of going through DRAM once per operation.
 #: Block sizes from 2^14 to 2^16 run equally fast; 2^18 is slower.
 _DENSE_CHUNK = 1 << 15
-#: Row length of the four-step quarter FFTs.  A 2^15-point real FFT
-#: and its half spectrum stay in a 2 MiB L2: it takes 12-20 ns per
-#: point, against about 43 ns per point for one 2^22-point rfft.
+#: Row length of the four-step FFT.  A 2^15-point real FFT and its half
+#: spectrum stay in a 2 MiB L2: it takes 12-20 ns per point, against
+#: about 43 ns per point for one 2^22-point rfft.
 _FFT_ROW = 1 << 15
-#: The second thread of the dense and the n = 2 paths.  Its thread
-#: starts on the first submission, so runs that reach neither path
-#: never start it.
-_POOL = ThreadPoolExecutor(1)
 _DONE = object()
 
 
 def _on_two_threads(fn: Callable, items: Sequence) -> None:
-    """fn(item) for every item, on the calling thread and the worker.
+    """fn(item) for every item, on the calling thread and one worker
+    thread started for this call.
 
     Each thread takes the next item that neither has taken yet, so when
     the host or the GIL slows one thread the other runs more of the
-    items instead of waiting for it.  The calling thread waits only for
-    items in progress: a worker that has not started by the time the
-    items run out finds none left.  fn must write each item's result to
-    its own place, so that the output does not depend on which thread
-    ran an item or when.  The first error stops both threads from taking
-    further items and is raised on the calling thread.
+    items instead of waiting for it.  The calling thread returns once
+    both threads are out of items and the worker has finished.  fn must
+    write each item's result to its own place, so that the output does
+    not depend on which thread ran an item or when.  The first error
+    stops both threads from taking further items and is raised on the
+    calling thread.
     """
     pending = iter(items)
-    done = threading.Condition()
-    busy = 0
+    taking = threading.Lock()
     errors: list = []
 
     def drain() -> None:
-        nonlocal busy
         while True:
-            with done:
-                item = next(pending, _DONE) if not errors else _DONE
-                if item is _DONE:
-                    return
-                busy += 1
+            with taking:
+                item = _DONE if errors else next(pending, _DONE)
+            if item is _DONE:
+                return
             try:
                 fn(item)
             except BaseException as exc:  # re-raised on the calling thread
-                with done:
-                    errors.append(exc)
-            finally:
-                with done:
-                    busy -= 1
-                    done.notify_all()
+                errors.append(exc)
 
-    _POOL.submit(drain)
+    worker = threading.Thread(target=drain)
+    worker.start()
     drain()
-    with done:
-        done.wait_for(lambda: busy == 0)
+    worker.join()
     if errors:
         raise errors[0]
 
@@ -397,64 +387,37 @@ class _Roots:
 
 
 def _four_step(rows_spectra: np.ndarray, out: np.ndarray, roots: _Roots,
-               c0: int, c1: int) -> None:
+               c0: int, c1: int, imag: bool) -> None:
     """Last two steps of a four-step FFT (Bailey, J. Supercomputing 4
-    (1990) 23), for the columns c0..c1-1: the half spectrum X of the
-    real sequence x[P i + s] = rows[s, i] of length Q = P R, from
+    (1990) 23), for the columns c0..c1-1: Re X (or Im X, if imag) of the
+    first bins of the half spectrum X of the real sequence
+    x[P i + s] = rows[s, i] of length Q = P R, from
     rows_spectra = rfft(rows, axis=1).
 
     X[k2 + R k1] = sum_s W_P^{s k1} W_Q^{s k2} F_s[k2], so each column
     k2 is multiplied by its twiddles (roots, orders 0..P-1, m = Q) and
-    given a length-P FFT.  Only the columns k2 <= R/2 of the row half
-    spectra are at hand: their rows k1 < P/2 are written straight into
-    out through a (P/2, R) view, rows k1 >= P/2 are written into column
-    R - k2 of row P - 1 - k1 by the mirror X[Q - k] = conj X[k], and the
-    Nyquist bin X[Q/2] is row P/2 of column 0.  Blocks of columns write
-    disjoint bins.  P >= 2.
+    given a length-P FFT.  out is a (K, R) array, K <= max(P/2, 1),
+    that takes bin k2 + R k1 at out[k1, k2].  Only the columns
+    k2 <= R/2 of the row half spectra are at hand: their rows k1 < K
+    are written straight into out, and their rows P - 1 - k1 are
+    written into column R - k2 of row k1 by the mirror
+    X[Q - k] = conj X[k].  Blocks of columns write disjoint bins.  With
+    P = 1 the twiddles are 1 and the column FFTs copy, so out is the
+    row's own rfft.
     """
-    p, cols = rows_spectra.shape
-    r_len, half = 2 * (cols - 1), p // 2
-    view = out[:-1].reshape(half, r_len)
+    r_len = 2 * (rows_spectra.shape[1] - 1)
     y = np.fft.fft(rows_spectra[:, c0:c1] * roots.block(c0, c1), axis=0)
-    view[:, c0:c1] = y[:half]
-    # Mirror the columns 0 < k2 < R/2 of the rows k1 >= P/2.
+    part = y.imag if imag else y.real
+    out[:, c0:c1] = part[:len(out)]
+    # Mirror the columns 0 < k2 < R/2 of the rows P - 1 - k1.
     lo, hi = max(c0, 1), min(c1, r_len // 2)
     if lo < hi:
-        np.conjugate(y[::-1, ::-1][:half, c1 - hi:c1 - lo],
-                     out=view[:, r_len - hi + 1:r_len - lo + 1])
-    if c0 == 0:
-        out[-1] = y[half, 0]
-
-
-def _recombine(spectra: np.ndarray, m_fft: int, lo: int, hi: int,
-               imag: bool, roots: _Roots) -> np.ndarray:
-    """Re (or Im) of bins lo..hi-1 of the length-m_fft DFT whose four
-    residue classes j = 4i + r have the quarter-length real spectra
-    spectra[r]: X[k] = sum_r W^{rk} F_r[k], W = exp(-2 pi i / m_fft),
-    with W^k from roots (order 1, m = m_fft).
-
-    Above m_fft/8 a quarter-length bin is read from its mirror,
-    F_r[k] = conj F_r[m_fft/4 - k]; the block must lie on one side.
-    """
-    half = m_fft // 8
-    if hi <= half + 1:
-        f = spectra[:, lo:hi]
-        a, b = f.real, f.imag
-    else:
-        assert lo > half
-        quarter = m_fft // 4
-        f = spectra[:, quarter - hi + 1:quarter - lo + 1][:, ::-1]
-        a, b = f.real, -f.imag
-    w = roots.block(lo, hi)[0]
-    c1, s1 = w.real, -w.imag
-    c2, s2 = c1 * c1 - s1 * s1, 2.0 * s1 * c1
-    c3, s3 = c1 * c2 - s1 * s2, s1 * c2 + c1 * s2
-    # exp(-i r theta) (a + i b) = (a cos + b sin) + i (b cos - a sin)
-    if imag:
-        return (b[0] + (b[1] * c1 - a[1] * s1) + (b[2] * c2 - a[2] * s2)
-                + (b[3] * c3 - a[3] * s3))
-    return (a[0] + (a[1] * c1 + b[1] * s1) + (a[2] * c2 + b[2] * s2)
-            + (a[3] * c3 + b[3] * s3))
+        mirror = part[::-1, ::-1][:len(out), c1 - hi:c1 - lo]
+        target = out[:, r_len - hi + 1:r_len - lo + 1]
+        if imag:
+            np.negative(mirror, out=target)
+        else:
+            target[...] = mirror
 
 
 def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
@@ -472,22 +435,16 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     put the problem over budget (the caller falls back to the scaled
     grid).
 
-    The DFT is a radix-4 decimation in time: sample j = 4i + r goes to
-    residue class r, each class is sampled and transformed by its own
-    quarter-length real FFT, and only the kept output bins are
-    recombined from the four spectra.  The classes go one at a time
-    through one buffer; the blocks of each step (sampling, row FFTs,
-    column FFTs, recombination) are shared between the calling thread
-    and a single worker thread, each taking the next block not yet
-    taken (_on_two_threads).
-
-    A quarter-length FFT longer than _FFT_ROW is a four-step FFT that
-    stays in cache: class index i = P i' + s puts the class on the rows
-    s of a (P, _FFT_ROW) array, which is sampled in column blocks of
-    about _DENSE_CHUNK samples, transformed row by row, and finished by
-    _four_step.  Every block of work and every twiddle is fixed by the
-    sizes alone, so the output is the same for any number of cores or
-    threads and for any order in which the blocks run.
+    The DFT is a four-step FFT that stays in cache: sample j = P i + s
+    goes to row s of a (P, _FFT_ROW) array (one row of m_fft samples
+    when m_fft <= _FFT_ROW), which is sampled in column blocks of about
+    _DENSE_CHUNK samples, transformed row by row in place, and finished
+    by _four_step on the kept bins only.  The blocks of each step are
+    shared between the calling thread and a worker thread, each taking
+    the next block not yet taken (_on_two_threads).  Every block of
+    work and every twiddle is fixed by the sizes alone, so the output
+    is the same for any number of cores or threads and for any order
+    in which the blocks run.
     """
     if n not in (1, 3):
         return None
@@ -507,75 +464,51 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     if m_samples > _DENSE_SAMPLE_CAP:
         return None
     m_fft = 1 << int(np.ceil(np.log2(m_samples + 1)))
-    quarter = m_fft // 4
-    spectra = np.empty((4, quarter // 2 + 1), dtype=complex)
-    n_rows = max(quarter // _FFT_ROW, 1)
+    n_rows = max(m_fft // _FFT_ROW, 1)
+    row_len = m_fft // n_rows
     width = max(_DENSE_CHUNK // n_rows, 1)
-    row_len = quarter // n_rows
-    twiddles = (_Roots(quarter, np.arange(n_rows), row_len // 2 + 1)
-                if n_rows > 1 else None)
 
-    # The classes go one at a time through one buffer.  Class sample
-    # P i' + s goes to rows[s, i'], and each row shares its memory with
-    # its own half spectrum, so the row FFTs run in place.
+    # Sample P i + s goes to rows[s, i], and each row shares its memory
+    # with its own half spectrum, so the row FFTs run in place.
     rows_spectra = np.empty((n_rows, row_len // 2 + 1), dtype=complex)
     rows = rows_spectra.view(float)[:, :row_len]
 
-    for r in range(4):
-        count = (m_samples - r + 3) // 4  # samples j < m_samples with j % 4 == r
+    def sample(c0: int) -> None:
+        block = rows[:, c0:c0 + width]
+        lo = n_rows * c0
+        hi = min(lo + block.size, m_samples)
+        rho = step * np.arange(lo, hi)
+        vals = np.asarray(raw(rho), dtype=float)
+        if rho[-1] > rho_start:  # the taper is exactly 1 up to rho_start
+            vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
+        if n == 3:
+            vals *= rho
+        block[...] = np.pad(vals, (0, block.size - len(vals))).reshape(-1, n_rows).T
 
-        def sample(c0: int) -> None:
-            block = rows[:, c0:c0 + width]
-            lo = n_rows * c0
-            hi = min(lo + block.size, count)
-            rho = step * (4 * np.arange(lo, hi) + r)
-            vals = np.asarray(raw(rho), dtype=float)
-            if rho[-1] > rho_start:  # the taper is exactly 1 up to rho_start
-                vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
-            if n == 3:
-                vals *= rho
-            block[...] = np.pad(vals, (0, block.size - len(vals))).reshape(-1, n_rows).T
-
-        starts = range(0, min(row_len, -(-count // n_rows)), width)
-        _on_two_threads(sample, starts)
-        rows[:, len(starts) * width:] = 0.0
-        if r == 0:
-            rows[0, 0] *= 0.5  # trapezoid endpoint at rho = 0
-        if n_rows == 1:
-            np.fft.rfft(rows[0], out=spectra[r])
-            continue
-        # numpy copies an input that overlaps its output, so the rows go
-        # eight (2 MB) at a time rather than all at once.
-        _on_two_threads(lambda s0: np.fft.rfft(rows[s0:s0 + 8], axis=1,
-                                               out=rows_spectra[s0:s0 + 8]),
-                        range(0, n_rows, 8))
-        cols = row_len // 2 + 1
-        _on_two_threads(lambda c0: _four_step(rows_spectra, spectra[r], twiddles,
-                                              c0, min(c0 + width, cols)),
-                        range(0, cols, width))
-    del rows_spectra, rows
+    starts = range(0, -(-m_samples // n_rows), width)
+    _on_two_threads(sample, starts)
+    rows[:, len(starts) * width:] = 0.0
+    rows[0, 0] *= 0.5  # trapezoid endpoint at rho = 0
 
     dy = 2.0 * np.pi / (m_fft * step)
     keep = int(x_max / dy) + 1
     # The Nyquist radius pi/step is at least 2.5 x_max, so every kept bin
-    # lies below m_fft/4, the period of the quarter-length spectra.
-    assert keep <= quarter
+    # lies below m_fft/4.
+    assert keep <= m_fft // 4
+    # numpy copies an input that overlaps its output, so the rows go
+    # eight (2 MB) at a time rather than all at once.
+    _on_two_threads(lambda s0: np.fft.rfft(rows[s0:s0 + 8], axis=1,
+                                           out=rows_spectra[s0:s0 + 8]),
+                    range(0, n_rows, 8))
+    cols = row_len // 2 + 1
+    twiddles = _Roots(m_fft, np.arange(n_rows), cols)
+    out = np.empty((-(-keep // row_len), row_len))
+    _on_two_threads(lambda c0: _four_step(rows_spectra, out, twiddles, c0,
+                                          min(c0 + width, cols), n == 3),
+                    range(0, cols, width))
+    del rows_spectra, rows
+    part = out.ravel()[:keep]  # Re X (n = 1) or Im X (n = 3) on the kept bins
     y = dy * np.arange(keep)
-    part = np.empty(keep)  # Re X (n = 1) or Im X (n = 3) on the kept bins
-    # Blocks never straddle m_fft/8, where the spectra start to be mirrored.
-    edge = min(keep, m_fft // 8 + 1)
-    blocks = [(lo, min(lo + _DENSE_CHUNK, seg_hi))
-              for seg_lo, seg_hi in ((0, edge), (edge, keep))
-              for lo in range(seg_lo, seg_hi, _DENSE_CHUNK)]
-
-    roots = _Roots(m_fft, np.array([1]), keep)
-
-    def recombine(block: tuple) -> None:
-        lo, hi = block
-        part[lo:hi] = _recombine(spectra, m_fft, lo, hi, n == 3, roots)
-
-    _on_two_threads(recombine, blocks)
-    del spectra
     if n == 1:
         vals = step * part / np.pi
     else:

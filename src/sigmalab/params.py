@@ -126,14 +126,11 @@ class ValidationReport:
     """Outcome of parameter validation.
 
     `violations` lists broken standing assumptions (these make the
-    parameters unusable).  `warnings` lists failed theorem gates that
-    only restrict which existence theorems apply -- currently the
-    parabolic-band condition floor(n/2) < n0.
+    parameters unusable).
     """
 
     ok: bool
     violations: tuple[str, ...] = field(default_factory=tuple)
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -145,7 +142,7 @@ def threshold_n0(params: ModelParams) -> Fraction:
     sigma, delta = params.sigma, params.delta
     # Both terms scaled by the product of the two denominators: one
     # Fraction of two integers instead of six Fraction operations, as
-    # every validation computes n0.
+    # every A-variant admissibility case computes n0.
     a = sigma.numerator * delta.denominator
     b = delta.numerator * sigma.denominator
     return Fraction(6 * b - 2 * a, a - 2 * b)
@@ -168,13 +165,13 @@ def require_valid(params: ModelParams) -> None:
 def validate(params: ModelParams) -> ValidationReport:
     """Check the standing assumptions; report all failures, throw nothing.
 
-    The parabolic-band condition floor(n/2) < n0, required by the
-    A-variant existence theorems, is reported in `warnings` when it
-    fails: parameters outside that band are still perfectly valid for
-    the linear theory and for the B-variant theorems.
+    The parabolic-band condition floor(n/2) < n0 is not checked here:
+    it only restricts which existence theorems apply (the A-variants),
+    and parameters outside that band are still perfectly valid for the
+    linear theory and for the B-variant theorems.  parabolic_band_holds
+    tests it.
     """
     violations: list[str] = []
-    warnings: list[str] = []
     if params.sigma < 1:
         violations.append("sigma >= 1 violated")
     if not (0 < params.delta < params.sigma / 2):
@@ -191,14 +188,7 @@ def validate(params: ModelParams) -> ValidationReport:
         violations.append("s >= 0 violated")
     if params.p is not None and params.p <= 1:
         violations.append("p > 1 violated")
-    if not violations and not parabolic_band_holds(params):
-        warnings.append("parabolic band floor(n/2) < n0 fails "
-                        "(A-variant theorems do not apply)")
-    return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
-        warnings=tuple(warnings),
-    )
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def parabolic_band_holds(params: ModelParams) -> bool:

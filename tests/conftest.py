@@ -1,29 +1,23 @@
 """Shared fixtures."""
 
-from concurrent.futures import Future
-
 import pytest
 
 from sigmalab import kernels
 
 
-class InlineExecutor:
-    """An executor that runs each submitted call at once on the caller."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+def _serial(fn, items):
+    for item in items:
+        fn(item)
 
 
 @pytest.fixture
 def on_one_thread(monkeypatch):
-    """on_one_thread(fn, *args) calls fn(*args) with the work of the
-    kernels' worker thread run on the calling thread instead."""
+    """on_one_thread(fn, *args) calls fn(*args) with the work that the
+    kernels share with a worker thread run on the calling thread alone."""
 
     def call(fn, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_POOL", InlineExecutor())
+            patch.setattr(kernels, "_on_two_threads", _serial)
             return fn(*args)
 
     return call

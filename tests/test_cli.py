@@ -405,14 +405,15 @@ class TestDeterminism:
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def _run_fresh(code: str, tmp_path) -> list[str]:
+def _run_fresh(code: str, tmp_path, watch=("scipy", "configparser")) -> list[str]:
     """Run `code` in a fresh interpreter with sigmalab on its path; return
-    the scipy and configparser modules loaded at its end."""
+    the packages in `watch` and their submodules loaded at its end."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
-    script = (f"import json, sys\nout = {str(tmp_path)!r}\n{code}\n"
-              "print(json.dumps(sorted(m for m in sys.modules "
-              "if m in ('scipy', 'configparser') or m.startswith('scipy.'))))\n")
+    script = (f"import json, sys\nout = {str(tmp_path)!r}\nwatch = {tuple(watch)!r}\n"
+              f"{code}\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m in watch "
+              "or m.startswith(tuple(w + '.' for w in watch)))))\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -420,8 +421,16 @@ def _run_fresh(code: str, tmp_path) -> list[str]:
 
 
 class TestColdStart:
-    """scipy is imported only by the commands that call it, and configparser
-    by none."""
+    """scipy is imported only by the commands that call it, configparser by
+    none, and concurrent.futures and logging not by `import sigmalab.cli`."""
+
+    def test_import_leaves_thread_pools_and_logging_unloaded(self, tmp_path):
+        # The kernels start a plain thread per call, so importing the CLI
+        # pays for neither concurrent.futures nor the logging it imports.
+        loaded = _run_fresh("import sigmalab.cli\n", tmp_path,
+                            watch=("concurrent", "logging"))
+        assert "concurrent.futures" not in loaded
+        assert "logging" not in loaded
 
     def test_admissible_and_evolve_leave_scipy_unloaded(self, tmp_path):
         (tmp_path / "evolve.ini").write_text(_EVOLVE.format(N=32, store_every=5))

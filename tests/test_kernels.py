@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -180,10 +180,9 @@ class TestKernelNorms:
 def reference_profile_dense(raw, n, t, params, a):
     """The dense path as one power-of-two real FFT of all the samples.
 
-    This is `kernels._profile_dense` before its samples were split into
-    residue classes mod 4; the sample positions, the taper, `m_fft`,
-    the kept window and the tail fit are the same.  Returns the profile
-    and m_fft.
+    This is `kernels._profile_dense` without its four-step FFT; the
+    sample positions, the taper, `m_fft`, the kept window and the tail
+    fit are the same.  Returns the profile and m_fft.
     """
     mu, delta, sigma = params.mu_f, params.delta_f, params.sigma_f
     z_start = 12.0 + 2.0 * a
@@ -226,9 +225,9 @@ def reference_profile_dense(raw, n, t, params, a):
 class TestDenseProfile:
     def test_block_size_does_not_change_the_profile(self, monkeypatch):
         # At t = 0.2 the dense path takes about 6e5 samples: one block of
-        # the old 4 M size per residue class, or 5 blocks of 2^15 per
-        # class, of which the first few end below the taper start and
-        # skip the taper.  The result must not depend on the blocking.
+        # the old 4 M size, or 19 blocks of 2^15, of which the first 14
+        # end below the taper start and skip the taper.  The result must
+        # not depend on the blocking.
         raw = kernels._kernel_multiplier("K0", 0.0, 0.2, "high", P_SMALL)
         profiles = []
         for chunk in (4_000_000, 1 << 15):
@@ -243,29 +242,36 @@ class TestDenseProfile:
     @pytest.mark.parametrize("which", ["K0", "K1"])
     @pytest.mark.parametrize("t", [0.1, 0.3])
     @pytest.mark.parametrize("band", ["high", "full"])
-    def test_matches_single_fft(self, n, which, t, band):
-        """The residue-class transform against one full-length FFT.
+    def test_matches_single_fft(self, monkeypatch, n, which, t, band):
+        """The four-step transform against one full-length FFT, with rows
+        of 2^8 (many rows), 2^15 (the default) and 2^30 points (one row:
+        one rfft of all the samples, bit-identical to the reference).
 
         The samples are bit-identical, so the drift is the rounding of
-        four quarter-length FFTs and their recombination against that of
-        one FFT: at most 6e-16 (n = 1) and 3.5e-14 (n = 3) of the peak.
-        tail_coeff is a median over the outer window, where the n = 3
-        profile is small; there it drifts by up to 1.3e-12 (K0, t = 0.1)
-        whatever the order of the recombination sums, and an
-        extended-precision DFT at the median bins cannot tell which of
-        the two is nearer.  The full band checks the halved endpoint
-        sample at rho = 0, which the high band weights by zero.
+        the row and column FFTs against that of one FFT: at most 6e-16
+        (n = 1) and 3.6e-14 (n = 3) of the peak.  tail_coeff is a median
+        over the outer window, where the profile can be tiny: it drifts
+        by at most 5.4e-14 absolute, which is up to 6.3e-5 relative for
+        the n = 3, K0, t = 0.1 full-band tail of 2.5e-10.  The full band
+        checks the halved endpoint sample at rho = 0, which the high
+        band weights by zero.
         """
         raw = kernels._kernel_multiplier(which, 0.0, t, band, P_SMALL)
         ref, m_fft = reference_profile_dense(raw, n, t, P_SMALL, 0.0)
-        new = kernels._profile_dense(raw, n, t, P_SMALL, 0.0)
-        assert np.array_equal(new.y, ref.y)
-        drift = np.max(np.abs(new.values - ref.values)) / np.max(np.abs(ref.values))
-        assert drift <= 1e-13
-        assert new.tail_coeff == pytest.approx(ref.tail_coeff, rel=2e-12)
-        # Every case keeps bins above m_fft/8, where the quarter-length
-        # spectra are read from their mirror images.
-        assert len(new.y) > m_fft // 8
+        for row in (1 << 8, 1 << 15, 1 << 30):
+            monkeypatch.setattr(kernels, "_FFT_ROW", row)
+            new = kernels._profile_dense(raw, n, t, P_SMALL, 0.0)
+            assert np.array_equal(new.y, ref.y)
+            drift = np.max(np.abs(new.values - ref.values)) / np.max(np.abs(ref.values))
+            assert drift <= 1e-13
+            assert new.tail_coeff == pytest.approx(ref.tail_coeff, rel=2e-12, abs=1e-13)
+            if m_fft > row:
+                # Every case keeps bins in columns above R/2, which are
+                # read from the mirror images of the columns below.
+                assert len(new.y) > row // 2
+            else:
+                assert np.array_equal(new.values, ref.values)
+                assert new.tail_coeff == ref.tail_coeff
 
     def test_same_output_on_one_thread(self, on_one_thread):
         raw = kernels._kernel_multiplier("K0", 0.0, 0.1, "high", P_SMALL)
@@ -294,26 +300,11 @@ class TestDenseProfile:
             assert np.array_equal(prof.values, serial.values)
 
 
-class StalledExecutor:
-    """An executor whose worker never starts a submitted call."""
-
-    def submit(self, fn, *args):
-        return Future()
-
-
 class TestOnTwoThreads:
     def test_every_item_runs_once(self):
         seen = []
         kernels._on_two_threads(seen.append, range(1000))
         assert sorted(seen) == list(range(1000))
-
-    def test_caller_does_not_wait_for_an_unstarted_worker(self, monkeypatch):
-        # A worker held up (here: forever) before it takes an item leaves
-        # every item to the calling thread.
-        monkeypatch.setattr(kernels, "_POOL", StalledExecutor())
-        seen = []
-        kernels._on_two_threads(seen.append, range(10))
-        assert seen == list(range(10))
 
     def test_caller_waits_for_the_worker_item_in_progress(self):
         started, release = threading.Event(), threading.Event()
@@ -349,28 +340,31 @@ class TestOnTwoThreads:
 class TestFourStep:
     @pytest.mark.parametrize("p", [2, 4, 32])
     def test_matches_rfft(self, p):
-        """The four-step half spectrum against one real FFT of the same
-        sequence, for column blocks of one column, of blocks that
-        straddle R/2 (R = 64, 33 columns) and of one block."""
+        """Re and Im of the four-step kept bins against one real FFT of
+        the same sequence, for K = 1 .. P/2 rows of R = 64 bins and column
+        blocks of one column, of blocks that straddle R/2 (33 columns)
+        and of one block."""
         r_len = 64
         x = np.random.default_rng(p).standard_normal(p * r_len)
-        ref = np.fft.rfft(x)
         rows_spectra = np.fft.rfft(x.reshape(r_len, p).T, axis=1)
         roots = kernels._Roots(p * r_len, np.arange(p), r_len // 2 + 1)
-        outs = []
-        for width in (1, 7, 30, 33):
-            out = np.full(len(ref), np.nan, dtype=complex)
-            # Blocks write disjoint bins, so their order does not matter.
-            for c0 in reversed(range(0, r_len // 2 + 1, width)):
-                kernels._four_step(rows_spectra, out, roots, c0, min(c0 + width, r_len // 2 + 1))
-            outs.append(out)
-            err = np.abs(out - ref) / np.max(np.abs(ref))
-            assert np.max(err) <= 1e-14
-            assert err[-1] <= 1e-14  # the Nyquist bin
-            assert err[0] <= 1e-14
-        # Each root depends on k alone, not on the block it falls in.
-        for out in outs[1:]:
-            assert np.array_equal(out, outs[0])
+        full = np.fft.rfft(x)
+        for k in range(1, p // 2 + 1):
+            ref = full[:k * r_len]
+            for imag, part in ((False, ref.real), (True, ref.imag)):
+                outs = []
+                for width in (1, 7, 30, 33):
+                    out = np.full((k, r_len), np.nan)
+                    # Blocks write disjoint bins, so their order does not matter.
+                    for c0 in reversed(range(0, r_len // 2 + 1, width)):
+                        kernels._four_step(rows_spectra, out, roots, c0,
+                                           min(c0 + width, r_len // 2 + 1), imag)
+                    outs.append(out)
+                    err = np.abs(out.ravel() - part) / np.max(np.abs(ref))
+                    assert np.max(err) <= 1e-14
+                # Each root depends on k alone, not on the block it falls in.
+                for out in outs[1:]:
+                    assert np.array_equal(out, outs[0])
 
     def test_roots(self):
         m, orders, cols = 1 << 12, np.arange(5), 700
