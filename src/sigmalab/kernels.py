@@ -12,10 +12,11 @@ elementary (cos s and sin(s)/s up to constants), which admits a fast
 uniform-grid FFT evaluation of the whole radial profile at once; n = 2
 uses a shared-panel Gauss-Legendre quadrature.  At small t the n = 1
 and n = 3 profiles come from a dense unscaled grid whose long real DFT
-is one cache-resident four-step FFT.  The dense and the n = 2 paths
-share their blocks of work with one worker thread per step.  The
-adaptive panel quadrature that checks these paths is a test oracle
-(tests/oracles.py), not part of the package.
+is one cache-resident four-step FFT, its rows taken in groups through
+one buffer; the profile is scaled and integrated in place.  The dense
+and the n = 2 paths share their blocks of work with one worker thread
+per step.  The adaptive panel quadrature that checks these paths is a
+test oracle (tests/oracles.py), not part of the package.
 
 Kernel norms are computed in self-similar variables: the multiplier is
 evaluated at rho = scale * eta with the scale chosen so the scaled
@@ -299,15 +300,15 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     return RadialProfile(y=ys, values=vals, scale=1.0, n=n)
 
 
-#: Sample budget for the dense unscaled FFT path.  At the cap the
-#: samples alone are about 600 MB of float64.  They are held in one
-#: (P, _FFT_ROW) buffer that the row FFTs overwrite in place with their
-#: half spectra, a (P, _FFT_ROW/2 + 1) complex array of up to 1 GiB;
-#: the kept bins add at most a quarter of that.  The row FFTs are
-#: short, so pocketfft keeps no full-length temporaries; the sampling
-#: and column blocks and the copies of the rows in flight add only a
-#: few MB.
+#: Sample budget for the dense unscaled FFT path.  At the cap (m_fft =
+#: 2^27) the work is one group buffer (_GROUP_SAMPLES) plus the kept
+#: bins, below m_fft/4 floats (268 MB), and then the profile's y too.
+#: The row FFTs are short, so pocketfft keeps no full-length
+#: temporaries; the sampling and column blocks add only a few MB.
 _DENSE_SAMPLE_CAP = 80_000_000
+#: Samples per row group of the dense transform, a 32 MB buffer; 2^21
+#: and 2^23 both peak higher.
+_GROUP_SAMPLES = 1 << 22
 #: Samples per block of the dense path.  Its multiplier is a chain of
 #: float64 ufuncs, each of which streams a fresh temporary; at 2^15
 #: samples a temporary is 256 KB, so a block's whole working set stays
@@ -387,37 +388,40 @@ class _Roots:
 
 
 def _four_step(rows_spectra: np.ndarray, out: np.ndarray, roots: _Roots,
-               c0: int, c1: int, imag: bool) -> None:
+               shift: Optional[np.ndarray], c0: int, c1: int, imag: bool) -> None:
     """Last two steps of a four-step FFT (Bailey, J. Supercomputing 4
-    (1990) 23), for the columns c0..c1-1: Re X (or Im X, if imag) of the
-    first bins of the half spectrum X of the real sequence
-    x[P i + s] = rows[s, i] of length Q = P R, from
-    rows_spectra = rfft(rows, axis=1).
-
-    X[k2 + R k1] = sum_s W_P^{s k1} W_Q^{s k2} F_s[k2], so each column
-    k2 is multiplied by its twiddles (roots, orders 0..P-1, m = Q) and
-    given a length-P FFT.  out is a (K, R) array, K <= max(P/2, 1),
-    that takes bin k2 + R k1 at out[k1, k2].  Only the columns
-    k2 <= R/2 of the row half spectra are at hand: their rows k1 < K
-    are written straight into out, and their rows P - 1 - k1 are
-    written into column R - k2 of row k1 by the mirror
-    X[Q - k] = conj X[k].  Blocks of columns write disjoint bins.  With
-    P = 1 the twiddles are 1 and the column FFTs copy, so out is the
-    row's own rfft.
+    (1990) 23) for the columns c0..c1-1 of the rows s = G s' + g of the
+    real sequence x[P i + s] = rows[s, i] of length Q = P R: adds Re X_g
+    (or Im X_g, if imag) to out, X_g being the DFT of those rows' samples
+    at their own positions (X = sum_g X_g), from rows_spectra =
+    rfft(rows[g::G], axis=1).  X_g[k2 + R k1] = W_P^{g k1}
+    Z[k1 mod P/G, k2], Z being the length-P/G FFT of each column k2
+    times its twiddles (roots, orders G s' + g, m = Q); shift[k] is
+    W_P^{g k}, k <= K, or None for g = 0.  out is a (K, R) array,
+    K <= max(P/2, 1), that takes bin k2 + R k1 at out[k1, k2].  Only the
+    columns k2 <= R/2 are at hand: their rows k1 < K go straight into
+    out, and their rows P - 1 - k1 into column R - k2 of row k1 by the
+    mirror X_g[Q - k] = conj X_g[k] (X_g is the DFT of a real
+    sequence).  Blocks of columns add to disjoint bins.  With P = 1 the
+    twiddles are 1 and the column FFTs copy, so out gets the rfft.
     """
     r_len = 2 * (rows_spectra.shape[1] - 1)
-    y = np.fft.fft(rows_spectra[:, c0:c1] * roots.block(c0, c1), axis=0)
-    part = y.imag if imag else y.real
-    out[:, c0:c1] = part[:len(out)]
+    z = np.fft.fft(rows_spectra[:, c0:c1] * roots.block(c0, c1), axis=0)
+    wrap = np.arange(len(out)) % len(z)
+    # Rows k1 and P - 1 - k1 of the group's column DFT.
+    direct, mirror = z[wrap], z[::-1][wrap]
+    if shift is not None:  # numpy rounds an in-place broadcast product by width
+        direct, mirror = direct * shift[:-1, None], mirror * shift[1:, None].conj()
+    out[:, c0:c1] += direct.imag if imag else direct.real
     # Mirror the columns 0 < k2 < R/2 of the rows P - 1 - k1.
     lo, hi = max(c0, 1), min(c1, r_len // 2)
     if lo < hi:
-        mirror = part[::-1, ::-1][:len(out), c1 - hi:c1 - lo]
+        back = (mirror.imag if imag else mirror.real)[:, ::-1][:, c1 - hi:c1 - lo]
         target = out[:, r_len - hi + 1:r_len - lo + 1]
         if imag:
-            np.negative(mirror, out=target)
+            target -= back
         else:
-            target[...] = mirror
+            target += back
 
 
 def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
@@ -436,15 +440,17 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     grid).
 
     The DFT is a four-step FFT that stays in cache: sample j = P i + s
-    goes to row s of a (P, _FFT_ROW) array (one row of m_fft samples
-    when m_fft <= _FFT_ROW), which is sampled in column blocks of about
-    _DENSE_CHUNK samples, transformed row by row in place, and finished
-    by _four_step on the kept bins only.  The blocks of each step are
-    shared between the calling thread and a worker thread, each taking
-    the next block not yet taken (_on_two_threads).  Every block of
-    work and every twiddle is fixed by the sizes alone, so the output
-    is the same for any number of cores or threads and for any order
-    in which the blocks run.
+    belongs to row s of a (P, _FFT_ROW) array (one row of m_fft samples
+    when m_fft <= _FFT_ROW).  Its G groups of rows s = G s' + g, with
+    G = m_fft / _GROUP_SAMPLES or 1, go through one buffer in turn: each
+    is sampled in column blocks of about _DENSE_CHUNK samples,
+    transformed row by row in place, and added into the kept bins by
+    _four_step, which become the values in place.  The blocks of each
+    step are shared between the calling thread and a worker thread,
+    each taking the next block not yet taken (_on_two_threads).  Every
+    block of work, group and twiddle is fixed by the sizes alone, so the
+    output is the same for any number of cores or threads and for any
+    order in which the blocks run.
     """
     if n not in (1, 3):
         return None
@@ -466,61 +472,73 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     m_fft = 1 << int(np.ceil(np.log2(m_samples + 1)))
     n_rows = max(m_fft // _FFT_ROW, 1)
     row_len = m_fft // n_rows
-    width = max(_DENSE_CHUNK // n_rows, 1)
-
-    # Sample P i + s goes to rows[s, i], and each row shares its memory
-    # with its own half spectrum, so the row FFTs run in place.
-    rows_spectra = np.empty((n_rows, row_len // 2 + 1), dtype=complex)
-    rows = rows_spectra.view(float)[:, :row_len]
-
-    def sample(c0: int) -> None:
-        block = rows[:, c0:c0 + width]
-        lo = n_rows * c0
-        hi = min(lo + block.size, m_samples)
-        rho = step * np.arange(lo, hi)
-        vals = np.asarray(raw(rho), dtype=float)
-        if rho[-1] > rho_start:  # the taper is exactly 1 up to rho_start
-            vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
-        if n == 3:
-            vals *= rho
-        block[...] = np.pad(vals, (0, block.size - len(vals))).reshape(-1, n_rows).T
-
-    starts = range(0, -(-m_samples // n_rows), width)
-    _on_two_threads(sample, starts)
-    rows[:, len(starts) * width:] = 0.0
-    rows[0, 0] *= 0.5  # trapezoid endpoint at rho = 0
+    groups = min(max(m_fft // _GROUP_SAMPLES, 1), n_rows)
+    g_rows = n_rows // groups
+    width = max(_DENSE_CHUNK // g_rows, 1)
+    cols = row_len // 2 + 1
 
     dy = 2.0 * np.pi / (m_fft * step)
     keep = int(x_max / dy) + 1
     # The Nyquist radius pi/step is at least 2.5 x_max, so every kept bin
     # lies below m_fft/4.
     assert keep <= m_fft // 4
-    # numpy copies an input that overlaps its output, so the rows go
-    # eight (2 MB) at a time rather than all at once.
-    _on_two_threads(lambda s0: np.fft.rfft(rows[s0:s0 + 8], axis=1,
-                                           out=rows_spectra[s0:s0 + 8]),
-                    range(0, n_rows, 8))
-    cols = row_len // 2 + 1
-    twiddles = _Roots(m_fft, np.arange(n_rows), cols)
-    out = np.empty((-(-keep // row_len), row_len))
-    _on_two_threads(lambda c0: _four_step(rows_spectra, out, twiddles, c0,
-                                          min(c0 + width, cols), n == 3),
-                    range(0, cols, width))
+    out = np.zeros((-(-keep // row_len), row_len))
+    # Row s' holds row G s' + g of group g and shares its memory with
+    # its own half spectrum, so the row FFTs run in place.
+    rows_spectra = np.empty((g_rows, cols), dtype=complex)
+    rows = rows_spectra.view(float)[:, :row_len]
+
+    def weights(rho: np.ndarray) -> np.ndarray:
+        vals = np.asarray(raw(rho), dtype=float)
+        if rho.max() > rho_start:  # the taper is exactly 1 up to rho_start
+            vals *= np.asarray(cutoff_chi(0.5 + (rho - rho_start) / (0.6 * rho_start)))
+        if n == 3:
+            vals *= rho
+        return vals
+
+    def sample(offsets: np.ndarray, c0: int) -> None:
+        block = rows[:, c0:c0 + width]
+        j = n_rows * np.arange(c0, c0 + block.shape[1]) + offsets[:, None]
+        live = j < m_samples
+        if live.all():
+            block[...] = weights(step * j)
+        else:  # the zero padding past the last sample
+            block[...] = 0.0
+            block[live] = weights(step * j[live]) if live.any() else 0.0
+
+    for g in range(groups):
+        offsets = groups * np.arange(g_rows) + g
+        _on_two_threads(lambda c0: sample(offsets, c0), range(0, row_len, width))
+        if g == 0:
+            rows[0, 0] *= 0.5  # trapezoid endpoint at rho = 0
+        # numpy copies an input that overlaps its output, so the rows go
+        # eight (2 MB) at a time rather than all at once.
+        _on_two_threads(lambda s0: np.fft.rfft(rows[s0:s0 + 8], axis=1,
+                                               out=rows_spectra[s0:s0 + 8]),
+                        range(0, g_rows, 8))
+        twiddles = _Roots(m_fft, offsets, cols)
+        shift = _Roots._exp(n_rows, g * np.arange(len(out) + 1)) if g else None
+        _on_two_threads(lambda c0: _four_step(rows_spectra, out, twiddles, shift, c0,
+                                              min(c0 + width, cols), n == 3),
+                        range(0, cols, width))
     del rows_spectra, rows
-    part = out.ravel()[:keep]  # Re X (n = 1) or Im X (n = 3) on the kept bins
-    y = dy * np.arange(keep)
+    # Re X (n = 1) or Im X (n = 3) on the kept bins, scaled in place.
+    vals = out.ravel()[:keep]
+    y = np.arange(keep, dtype=float)
+    y *= dy
     if n == 1:
-        vals = step * part / np.pi
+        vals *= step
+        vals /= np.pi
     else:
-        sin_int = -step * part
-        vals = np.empty(keep)
-        vals[1:] = sin_int[1:] / (2.0 * np.pi ** 2 * y[1:])
+        vals *= -step
+        vals[1:] /= 2.0 * np.pi ** 2 * y[1:]
         vals[0] = 0.0 if keep == 1 else vals[1]
     # Algebraic-tail coefficient from the outer 20% of the window,
     # assuming |I| ~ C y^{-2} out there (exact decay of the band-edge
     # contribution after two integrations by parts).
-    outer = y > 0.8 * x_max
-    tail_coeff = float(np.median(np.abs(vals[outer]) * y[outer] ** 2)) if np.any(outer) else 0.0
+    outer = int(np.searchsorted(y, 0.8 * x_max, side="right"))
+    tail_coeff = (float(np.median(np.abs(vals[outer:]) * y[outer:] ** 2))
+                  if outer < keep else 0.0)
     return RadialProfile(y=y, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff)
 
 
@@ -573,6 +591,20 @@ def kernel_profile(which: str, a: float, t: float, band: str,
     return RadialProfile(y=prof.y, values=prof.values, scale=scale, n=n)
 
 
+def _trapezoid(f: np.ndarray, x: np.ndarray) -> float:
+    """np.trapezoid(f, x) bit for bit, with its terms
+    (x[i+1] - x[i]) (f[i] + f[i+1]) / 2 formed in f in ascending blocks
+    (each reads the next block's first entry before it is overwritten)
+    instead of four temporaries of f's length."""
+    for lo in range(0, len(f) - 1, _DENSE_CHUNK):
+        hi = min(lo + _DENSE_CHUNK, len(f) - 1)
+        terms = f[lo:hi]
+        terms += f[lo + 1:hi + 1]
+        terms *= x[lo + 1:hi + 1] - x[lo:hi]
+        terms /= 2.0
+    return float(f[:-1].sum())
+
+
 def kernel_lr_norm(which: str, a: float, t: float, r: float,
                    params: ModelParams, n: int,
                    band: str = "full") -> float:
@@ -603,10 +635,16 @@ def kernel_lr_norm(which: str, a: float, t: float, r: float,
         return float(np.sqrt(norm_sq))
     prof = kernel_profile(which, a, t, band, params, n)
     scale = prof.scale
+    vals = prof.values
     if np.isinf(r):
-        return float(np.max(np.abs(prof.values)) * scale ** n)
-    integrand = np.abs(prof.values) ** r * prof.y ** (n - 1)
-    integral = _SPHERE_AREA[n] * np.trapezoid(integrand, prof.y)
+        return float(max(vals.max(), -vals.min()) * scale ** n)
+    # The integrand |I|^r y^{n-1}, formed in the profile's own values.
+    integrand = np.abs(vals, out=vals)
+    if r != 1.0:
+        integrand **= r
+    if n != 1:
+        integrand *= prof.y ** (n - 1)
+    integral = _SPHERE_AREA[n] * _trapezoid(integrand, prof.y)
     if prof.tail_coeff > 0.0 and len(prof.y) and 2.0 * r > n:
         # Remainder of the |I| ~ C y^{-2} tail beyond the window:
         # S_{n-1} C^r  int_Y^inf y^{n-1-2r} dy.

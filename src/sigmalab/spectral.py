@@ -243,9 +243,13 @@ def _truncate_half(f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parseval_l2(v: np.ndarray, grid: TorusGrid) -> float:
-    """Lattice L^2 norm by Parseval; interior last-axis bins count twice."""
-    power = v.real ** 2 + v.imag ** 2
+def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
+                 scratch: np.ndarray) -> float:
+    """Lattice L^2 norm by Parseval; interior last-axis bins count twice.
+    |v|^2 is formed in power with the help of scratch, two real arrays
+    of v's shape."""
+    np.multiply(v.real, v.real, out=power)
+    power += np.multiply(v.imag, v.imag, out=scratch)
     energy = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
     return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
 
@@ -323,6 +327,7 @@ def semilinear_solve(
     padded, cols = (np.zeros((M,) * (grid.n - 1) + (M // 2 + 1,),
                              dtype=complex) for _ in range(2))
     phys, power = np.empty((M,) * grid.n), np.empty((M,) * grid.n)
+    monitor = (np.empty(v.shape), np.empty(v.shape))  # for _parseval_l2
     snapshots = [Snapshot(data.t, Field(grid, u0, "physical"),
                           Field(grid, ut0, "physical"))]
     for step in range(1, steps + 1):
@@ -352,7 +357,7 @@ def semilinear_solve(
 
         store = step % store_every == 0 or step == steps
         u = _irfft(v, grid.N) if store or ceiling_q != 2 else None
-        norm = (_parseval_l2(v, grid) if ceiling_q == 2
+        norm = (_parseval_l2(v, grid, *monitor) if ceiling_q == 2
                 else lq_norm(Field(grid, u, "physical"), ceiling_q))
         if not np.isfinite(norm) or norm > norm_ceiling:
             raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),

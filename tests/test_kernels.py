@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -155,6 +156,38 @@ class TestKernelNorms:
         with pytest.raises(ValueError):
             kernel_lr_norm("K0", 0.0, 1.0, 0.5, P_SMALL, 1)
 
+    @pytest.mark.parametrize("n,r,t,band", [
+        (1, 1.0, 0.05, "high"), (3, 1.0, 0.1, "high"), (1, 3.0, 0.3, "full"),
+        (3, 1.5, 2.0, "low"), (1, math.inf, 0.05, "high"), (3, math.inf, 2.0, "low")])
+    def test_norm_integration_is_the_numpy_formula(self, n, r, t, band):
+        # The in-place integrand and _trapezoid give the value of the
+        # plain formula bit for bit, on the dense and the scaled paths.
+        prof = kernel_profile("K0", 0.0, t, band, P_SMALL, n)
+        if math.isinf(r):
+            plain = np.max(np.abs(prof.values)) * prof.scale ** n
+        else:
+            integrand = np.abs(prof.values) ** r * prof.y ** (n - 1)
+            integral = _SPHERE_AREA[n] * np.trapezoid(integrand, prof.y)
+            if prof.tail_coeff > 0.0 and 2.0 * r > n:
+                integral += (_SPHERE_AREA[n] * prof.tail_coeff ** r
+                             * prof.y[-1] ** (n - 2.0 * r) / (2.0 * r - n))
+            plain = integral ** (1.0 / r) * prof.scale ** (n * (1.0 - 1.0 / r))
+        assert kernel_lr_norm("K0", 0.0, t, r, P_SMALL, n, band=band) == float(plain)
+
+    def test_dense_norm_peak_memory(self):
+        # At t = 0.05 the dense transform holds one group of rows (32 MB)
+        # and the kept bins (26 MB), and the integration works in the
+        # profile's values: about 65 MiB.  Holding the whole row spectrum
+        # (134 MB) exceeds the bound, and np.trapezoid's temporaries (about
+        # 100.5 MiB) just do.
+        tracemalloc.start()
+        try:
+            kernel_lr_norm("K0", 0.0, 0.05, 1.0, P_SMALL, 1, band="high")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2 ** 20
+
     @pytest.mark.parametrize("t", [0.0, -1.0])
     @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("band", ["low", "high", "full"])
@@ -273,6 +306,33 @@ class TestDenseProfile:
                 assert np.array_equal(new.values, ref.values)
                 assert new.tail_coeff == ref.tail_coeff
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("which", ["K0", "K1"])
+    @pytest.mark.parametrize("band", ["high", "full"])
+    @pytest.mark.parametrize("t,budget,groups", [(0.05, None, 4), (0.1, 1 << 15, 128)])
+    def test_row_groups_match_single_fft(self, monkeypatch, n, which, band, t, budget, groups):
+        """The transform taken in row groups against one full-length FFT:
+        4 groups at t = 0.05 with the default group budget, and 128
+        groups of one row at t = 0.1 with the budget cut to one row.
+
+        The drift is the rounding of the grouped row and column FFTs:
+        at most 1.3e-15 (n = 1) and 3.6e-14 (n = 3) of the peak in these
+        cases.  tail_coeff moves by at most 1.9e-13 absolute here (n = 3,
+        K0, high band, t = 0.05), so the bound is 5e-13 absolute; the
+        full-band tails are medians at rounding level (2.5e-10 for n = 3,
+        K0 at t = 0.1), so no relative bound is asserted.
+        """
+        if budget is not None:
+            monkeypatch.setattr(kernels, "_GROUP_SAMPLES", budget)
+        raw = kernels._kernel_multiplier(which, 0.0, t, band, P_SMALL)
+        ref, m_fft = reference_profile_dense(raw, n, t, P_SMALL, 0.0)
+        assert m_fft // kernels._GROUP_SAMPLES == groups
+        new = kernels._profile_dense(raw, n, t, P_SMALL, 0.0)
+        assert np.array_equal(new.y, ref.y)
+        drift = np.max(np.abs(new.values - ref.values)) / np.max(np.abs(ref.values))
+        assert drift <= 1e-13
+        assert abs(new.tail_coeff - ref.tail_coeff) <= 5e-13
+
     def test_same_output_on_one_thread(self, on_one_thread):
         raw = kernels._kernel_multiplier("K0", 0.0, 0.1, "high", P_SMALL)
         threaded = kernels._profile_dense(raw, 3, 0.1, P_SMALL, 0.0)
@@ -343,28 +403,58 @@ class TestFourStep:
         """Re and Im of the four-step kept bins against one real FFT of
         the same sequence, for K = 1 .. P/2 rows of R = 64 bins and column
         blocks of one column, of blocks that straddle R/2 (33 columns)
-        and of one block."""
+        and of one block, with the rows taken whole, in two groups, in P/4
+        groups (K > P/G rows wrap around the column FFT) and in P groups
+        of one row."""
         r_len = 64
+        cols = r_len // 2 + 1
         x = np.random.default_rng(p).standard_normal(p * r_len)
         rows_spectra = np.fft.rfft(x.reshape(r_len, p).T, axis=1)
-        roots = kernels._Roots(p * r_len, np.arange(p), r_len // 2 + 1)
         full = np.fft.rfft(x)
-        for k in range(1, p // 2 + 1):
-            ref = full[:k * r_len]
-            for imag, part in ((False, ref.real), (True, ref.imag)):
-                outs = []
-                for width in (1, 7, 30, 33):
-                    out = np.full((k, r_len), np.nan)
-                    # Blocks write disjoint bins, so their order does not matter.
-                    for c0 in reversed(range(0, r_len // 2 + 1, width)):
-                        kernels._four_step(rows_spectra, out, roots, c0,
-                                           min(c0 + width, r_len // 2 + 1), imag)
-                    outs.append(out)
-                    err = np.abs(out.ravel() - part) / np.max(np.abs(ref))
-                    assert np.max(err) <= 1e-14
-                # Each root depends on k alone, not on the block it falls in.
-                for out in outs[1:]:
-                    assert np.array_equal(out, outs[0])
+        for groups in sorted({1, 2, max(p // 4, 1), p}):
+            roots = [kernels._Roots(p * r_len, np.arange(g, p, groups), cols)
+                     for g in range(groups)]
+            for k in range(1, p // 2 + 1):
+                ref = full[:k * r_len]
+                shifts = [kernels._Roots._exp(p, g * np.arange(k + 1)) if g else None
+                          for g in range(groups)]
+                for imag, part in ((False, ref.real), (True, ref.imag)):
+                    outs = []
+                    for width in (1, 7, 30, 33):
+                        out = np.zeros((k, r_len))
+                        for g in range(groups):
+                            # Blocks add to disjoint bins, so their order does not matter.
+                            for c0 in reversed(range(0, cols, width)):
+                                kernels._four_step(rows_spectra[g::groups], out, roots[g],
+                                                   shifts[g], c0, min(c0 + width, cols), imag)
+                        outs.append(out)
+                        err = np.abs(out.ravel() - part) / np.max(np.abs(ref))
+                        assert np.max(err) <= 1e-14
+                    # Each root depends on k alone, not on the block it falls in.
+                    for out in outs[1:]:
+                        assert np.array_equal(out, outs[0])
+
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_one_group_is_the_plain_four_step(self, imag):
+        # With one group the kept bins are, bit for bit, the column FFT
+        # of all the rows and its mirror images.
+        p, r_len, k = 16, 64, 5
+        cols = r_len // 2 + 1
+        x = np.random.default_rng(7).standard_normal(p * r_len)
+        rows_spectra = np.fft.rfft(x.reshape(r_len, p).T, axis=1)
+        roots = kernels._Roots(p * r_len, np.arange(p), cols)
+        y = np.fft.fft(rows_spectra * roots.block(0, cols), axis=0)
+        part = y.imag if imag else y.real
+        expected = np.empty((k, r_len))
+        expected[:, :cols] = part[:k]
+        mirror = part[::-1][:k, r_len // 2 - 1:0:-1]
+        expected[:, cols:] = -mirror if imag else mirror
+        for width in (7, cols):
+            out = np.zeros((k, r_len))
+            for c0 in range(0, cols, width):
+                kernels._four_step(rows_spectra, out, roots, None, c0,
+                                   min(c0 + width, cols), imag)
+            assert np.array_equal(out, expected)
 
     def test_roots(self):
         m, orders, cols = 1 << 12, np.arange(5), 700
@@ -451,6 +541,18 @@ class TestDirectProfile:
         for i in range(0, len(prof.y), 53):
             exact = radial_inverse_fourier(g, 2, float(prof.y[i]))
             assert abs(prof.values[i] - exact) <= 1e-8 * peak
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("size", [0, 1, 2, kernels._DENSE_CHUNK - 1,
+                                      kernels._DENSE_CHUNK, kernels._DENSE_CHUNK + 1,
+                                      kernels._DENSE_CHUNK + 2, 3_000_000])
+    def test_bit_identical_to_numpy(self, size):
+        rng = np.random.default_rng(size)
+        x = np.cumsum(rng.random(size))
+        f = rng.standard_normal(size)
+        expected = np.trapezoid(f, x)
+        assert kernels._trapezoid(f.copy(), x) == expected
 
 
 class TestFitPowerLaw:
