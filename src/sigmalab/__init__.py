@@ -27,9 +27,8 @@ from .kernels import (
     kernel_profile, theoretical_exponent,
 )
 from .spectral import (
-    BlowUpError, Field, Snapshot, TorusGrid, Trajectory, gaussian_field,
-    gevrey_energy, linear_evolve, lq_norm, make_grid, semilinear_solve,
-    zero_field,
+    BlowUpError, Field, Snapshot, TorusGrid, gaussian_field, gevrey_energy,
+    linear_evolve, lq_norm, make_grid, semilinear_solve, zero_field,
 )
 from .toolkit import (
     Partition, composite_derivative, duhamel_bound, duhamel_integral,
@@ -52,7 +51,7 @@ __all__ = [
     "DecayFit", "RadialProfile", "bessel_tilde", "kernel_profile",
     "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
     # spectral
-    "TorusGrid", "Field", "Snapshot", "Trajectory", "BlowUpError",
+    "TorusGrid", "Field", "Snapshot", "BlowUpError",
     "make_grid", "zero_field", "gaussian_field", "linear_evolve",
     "semilinear_solve", "lq_norm", "gevrey_energy",
     # toolkit

@@ -484,26 +484,29 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
     ceiling = _get(ev_sec, "ceiling", float, 1e6)
     if min(q_list) < 1:
         raise ConfigError("evolve: every q in q_list must be >= 1")
+    names = [f"norm_L{q:g}" for q in q_list]
+    if twice := [q for i, q in enumerate(q_list) if names[i] in names[:i]]:
+        raise ConfigError(f"evolve: q = {twice[0]:g} appears twice in q_list")
+    if not ceiling > 0:
+        raise ConfigError(f"evolve: ceiling = {ceiling:g} must be positive")
 
     data = Snapshot(t=0.0, u=_gaussian_from(grid, amplitude, width, "evolve"),
                     ut=zero_field(grid))
+    rows = []
     try:
-        traj = semilinear_solve(data, params, nonlinearity, t_end, dt,
-                                store_every=store_every, norm_ceiling=ceiling)
+        for snap in semilinear_solve(data, params, nonlinearity, t_end, dt,
+                                     store_every=store_every,
+                                     norm_ceiling=ceiling):
+            rows.append({**_params_cells(params), "t": snap.t,
+                         **{name: lq_norm(snap.u, q)
+                            for name, q in zip(names, q_list)},
+                         "norm_ut_L2": lq_norm(snap.ut, 2.0)})
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
         return EXIT_NONCONV
     except ValueError as exc:
         raise ConfigError(f"evolve: {exc}") from exc
-    rows = []
-    for snap in traj.snapshots:
-        row = {**_params_cells(params), "t": snap.t}
-        for q in q_list:
-            row[f"norm_L{q:g}"] = lq_norm(snap.u, q)
-        row["norm_ut_L2"] = lq_norm(snap.ut, 2.0)
-        rows.append(row)
-    fields = [*_params_cells(params).keys(), "t",
-              *(f"norm_L{q:g}" for q in q_list), "norm_ut_L2"]
+    fields = [*_params_cells(params).keys(), "t", *names, "norm_ut_L2"]
     _write_csv(os.path.join(out_dir, "evolve.csv"), fields, rows)
     return EXIT_OK
 

@@ -19,6 +19,7 @@ frequency spacing pi/L resolves the surviving low-frequency content.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .dispersion import cutoff_chi, kernel_dt_values, kernel_values
 from .params import ModelParams
 
 __all__ = [
-    "TorusGrid", "Field", "Snapshot", "Trajectory", "BlowUpError",
+    "TorusGrid", "Field", "Snapshot", "BlowUpError",
     "make_grid", "linear_evolve", "semilinear_solve",
     "lq_norm", "gevrey_energy", "gaussian_field", "zero_field",
 ]
@@ -73,12 +74,13 @@ class TorusGrid:
         return self._abs_xi(self.xi)
 
     @property
-    def rho_half(self) -> np.ndarray:
-        """|xi| over the rfftn half lattice (xi >= 0 on the last axis)."""
+    def rho_rows(self) -> np.ndarray:
+        """|xi| over the distinct rows of the rfftn half lattice: xi >= 0
+        on every axis, as rows k and N - k carry the same |xi|."""
         return self._abs_xi(2.0 * np.pi * np.fft.rfftfreq(self.N, d=self.dx))
 
-    def _abs_xi(self, last: np.ndarray) -> np.ndarray:
-        axes = np.meshgrid(*([self.xi] * (self.n - 1)), last, indexing="ij")
+    def _abs_xi(self, axis: np.ndarray) -> np.ndarray:
+        axes = np.meshgrid(*([axis] * self.n), indexing="ij")
         return np.sqrt(sum(a * a for a in axes))
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
@@ -126,17 +128,6 @@ class Snapshot:
     def __post_init__(self):
         if self.u.grid != self.ut.grid:
             raise ValueError("u and ut must share one grid")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    snapshots: tuple[Snapshot, ...]
-    params: ModelParams
-
-    def __post_init__(self):
-        ts = [s.t for s in self.snapshots]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
 
 
 class BlowUpError(RuntimeError):
@@ -192,45 +183,45 @@ def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
     )
 
 
-def _irfft(v: np.ndarray, size: int, out=None, cols=None) -> np.ndarray:
-    """Real field on the size^n lattice from its rfftn half spectrum, as
-    irfftn computes it; the leading-axis inverse FFTs write into `cols`."""
-    for axis in range(v.ndim - 1):
-        v = np.fft.ifft(v, size, axis, out=cols)
-    return np.fft.irfft(v, size, v.ndim - 1, out=out)
+#: Samples per row block in which semilinear_solve takes |u|^p.
+_BLOCK_SAMPLES = 2 ** 15
 
 
-def _blocks(n: int, N: int, M: int):
-    """(coarse, fine) index pairs of the low blocks: one per combination
-    of the halves [:h], [-h:] of the leading axes (h = N/2)."""
+def _blocks(n: int, N: int, upper: slice):
+    """(coarse, other) index pairs, one per combination of the halves
+    [:h], [h:] of the leading axes (h = N/2), which pair with [:h] and
+    `upper` of the other array; the last axis is [:h + 1] in both."""
     h = N // 2
-    halves = ((slice(0, h), slice(0, h)), (slice(h, N), slice(M - h, M)))
+    halves = ((slice(0, h), slice(0, h)), (slice(h, N), upper))
     for combo in itertools.product(halves, repeat=n - 1):
         yield (tuple(c for c, _ in combo) + (slice(0, h + 1),),
                tuple(f for _, f in combo) + (slice(0, h + 1),))
 
 
-def _pad_half(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Zero-pad the N^n half spectrum v into the M^n one `out`, which is
-    zero outside the blocks [:h], [-h:] of each leading axis and [:h + 1]
-    of the last (h = N/2); Nyquist modes go half to +N/2, half to -N/2."""
-    n, N, M = v.ndim, 2 * (v.shape[-1] - 1), 2 * (out.shape[-1] - 1)
+def _pad_half(v: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
+    """Zero-pad the N^n half spectrum v into the first N/2 + 1 columns of
+    the M^n one `out`: the blocks [:h], [-h:] of each leading axis (h =
+    N/2) are written and the rows between them zeroed; Nyquist modes go
+    half to +N/2, half to -N/2."""
+    n, N = v.ndim, 2 * (v.shape[-1] - 1)
     h = N // 2
-    for coarse, fine in _blocks(n, N, M):
+    for coarse, fine in _blocks(n, N, slice(M - h, M)):
         np.multiply(v[coarse], (M / N) ** n, out=out[fine])
     out[..., h] *= 0.5
     for axis in range(n - 1):
         rows = np.moveaxis(out, axis, 0)
+        rows[h + 1:M - h] = 0.0
         rows[M - h] *= 0.5
         rows[h] = rows[M - h]
     return out
 
 
-def _truncate_half(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _truncate_half(f: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
     """Inverse of _pad_half into the N^n half spectrum `out`, scaling and
-    averaging the M^n one f in place: a leading axis's Nyquist row
-    averages -N/2 and +N/2 (irfftn does so for the last axis)."""
-    n, M, N = f.ndim, 2 * (f.shape[-1] - 1), 2 * (out.shape[-1] - 1)
+    averaging the first N/2 + 1 columns of the M^n one f in place: a
+    leading axis's Nyquist row averages -N/2 and +N/2 (irfftn does so
+    for the last axis)."""
+    n, N = f.ndim, 2 * (out.shape[-1] - 1)
     h = N // 2
     low = f[..., :h + 1]
     low *= (N / M) ** n
@@ -238,9 +229,22 @@ def _truncate_half(f: np.ndarray, out: np.ndarray) -> np.ndarray:
         rows = np.moveaxis(low, axis, 0)
         rows[M - h] += rows[h]
         rows[M - h] *= 0.5
-    for coarse, fine in _blocks(n, N, M):
+    for coarse, fine in _blocks(n, N, slice(M - h, M)):
         out[coarse] = f[fine]
     return out
+
+
+def _leading_ffts(lines: np.ndarray, inverse: bool) -> None:
+    """In-place FFTs of `lines` (h + 1 columns) along its leading axes, in
+    irfftn's axis order (rfftn's when forward).  For n = 3 those along
+    axis 0 run only on the axis-1 rows [:h + 1] and [-h:], all that
+    _pad_half writes and _truncate_half keeps."""
+    fft = np.fft.ifft if inverse else np.fft.fft
+    h, lead = lines.shape[-1] - 1, range(lines.ndim - 1)
+    for axis in lead if inverse else reversed(lead):
+        for view in ([lines] if axis == lines.ndim - 2 else [
+                lines[:, :h + 1], lines[:, max(h + 1, len(lines) - h):]]):
+            fft(view, axis=axis, out=view)
 
 
 def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
@@ -254,14 +258,14 @@ def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
     return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
 
 
-def _real_values(field: Field) -> np.ndarray:
-    """Physical values of a real field (spectral: up to rounding)."""
+def _real_field(field: Field) -> Field:
+    """A real field as physical values (spectral: up to rounding)."""
     u = field.to_physical().values
     slack = 1e-12 * np.max(np.abs(u)) if field.space == "spectral" else 0.0
     if np.iscomplexobj(u) and np.max(np.abs(u.imag)) > slack:
         raise ValueError("semilinear_solve needs real data, but a field "
                          "has a nonzero imaginary part")
-    return u.real.copy()
+    return Field(field.grid, u.real.copy(), "physical")
 
 
 def semilinear_solve(
@@ -273,10 +277,16 @@ def semilinear_solve(
     store_every: int = 1,
     norm_ceiling: float = 1e6,
     ceiling_q: float = 2.0,
-) -> Trajectory:
+) -> Iterator[Snapshot]:
     """Exponential Duhamel stepping of u_tt + (-Lap)^sigma u
     + mu (-Lap)^delta u_t = f: |u|^p ("abs_u_p"), |u_t|^p ("abs_ut_p")
     or 0 ("none"), on real data with t_end / dt an integer (to 1e-9).
+
+    Arguments and data are checked on the call (ValueError), which
+    returns a generator: it steps as it is iterated, yields the data,
+    every store_every-th state and the last as Snapshots of real
+    physical Fields, keeps none of them, and raises BlowUpError when the
+    L^q norm (q = 2 by Parseval) exceeds norm_ceiling.
 
     Each step propagates (u, u_t), as rfftn half spectra, with the exact
     linear kernels and takes the Duhamel integral by the midpoint rule
@@ -285,11 +295,15 @@ def semilinear_solve(
     halving dt from 0.2 (n = 1, N = 512, t = 4, p = 3) gives observed
     orders of about 2 for "abs_u_p" and 1 for "abs_ut_p".  Integer p is
     taken on a 3/2-padded lattice, which de-aliases quadratic products
-    only, and by repeated multiplication rather than pow.  The work
-    buffers of the step are allocated once per solve, and every product
-    and FFT of the step writes into them.  Snapshots hold real physical
-    Fields.  Raises BlowUpError when the L^q norm (q = 2 by Parseval)
-    exceeds norm_ceiling.
+    only, and by repeated multiplication rather than pow.
+
+    Buffers are allocated once per solve.  The kernels are held on the
+    distinct rows 0 .. N/2 of each axis (rows k and N - k share |xi| bit
+    for bit).  The padded transforms are pruned to the N/2 + 1 columns
+    (for n = 3, and axis-1 rows) that can be nonzero or are kept, and
+    |u|^p is taken in row blocks of about 2^15 samples (irfft, abs,
+    power, rfft), so no whole padded field is held.  For n = 1 and 2 the
+    states equal those of whole-lattice transforms bit for bit.
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
         raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
@@ -303,11 +317,20 @@ def semilinear_solve(
         raise ValueError(f"store_every = {store_every} must be >= 1")
     if nonlinearity != "none" and params.p is None:
         raise ValueError("nonlinearity requires params.p")
+    first = Snapshot(data.t, _real_field(data.u), _real_field(data.ut))
+    return _stepping(first, params, nonlinearity, steps, dt, store_every,
+                     norm_ceiling, ceiling_q)
 
-    grid = data.u.grid
-    rho = grid.rho_half
+
+def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
+              steps: int, dt: float, store_every: int, norm_ceiling: float,
+              ceiling_q: float) -> Iterator[Snapshot]:
+    """The generator that semilinear_solve returns."""
+    grid, t0 = first.u.grid, first.t
+    n, N, h = grid.n, grid.N, grid.N // 2
     p = float(params.p) if params.p is not None else 0.0
     dealias = nonlinearity != "none" and p == int(p)
+    rho = grid.rho_rows
     # The kernels as complex arrays, so that no product casts them.
     k0_h, k1_h, dk0_h, dk1_h, k0_f, k1_f, dk0_f, dk1_f = (
         k.astype(complex) for tau in (dt / 2.0, dt)
@@ -315,57 +338,72 @@ def semilinear_solve(
                   *kernel_dt_values(tau, rho, params)))
     mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
     weight_u, weight_ut = dt * k1_h, dt * dk1_h
+    pairs = list(_blocks(n, N, slice(h, 0, -1)))  # (half lattice, rows)
 
-    u0, ut0 = _real_values(data.u), _real_values(data.ut)
-    v, vt = np.fft.rfftn(u0), np.fft.rfftn(ut0)
-    # Work buffers on the grid and on the (3/2-padded when de-aliasing)
-    # product lattice; `padded` stays zero outside the blocks that
-    # _pad_half writes, and `cols` holds the inverse FFT's column
-    # spectrum, then the spectrum of f.
-    v_new, vt_new, mid, prod, f_mid = (np.empty_like(v) for _ in range(5))
-    M = 3 * grid.N // 2 if dealias else grid.N
-    padded, cols = (np.zeros((M,) * (grid.n - 1) + (M // 2 + 1,),
-                             dtype=complex) for _ in range(2))
-    phys, power = np.empty((M,) * grid.n), np.empty((M,) * grid.n)
+    v, vt = np.fft.rfftn(first.u.values), np.fft.rfftn(first.ut.values)
+    yield first
+    del first  # how long the data lives is up to the caller
+    v_new, vt_new, prod = (np.empty_like(v) for _ in range(3))
+
+    def apply(out, *terms, add=False):
+        """out = sum of k x over terms (out += it when add), by blocks."""
+        for coarse, rows in pairs:
+            part = out[coarse]
+            for i, (k, x) in enumerate(terms):
+                if i or add:
+                    np.add(part, np.multiply(k[rows], x[coarse],
+                                             out=prod[coarse]), out=part)
+                else:
+                    np.multiply(k[rows], x[coarse], out=part)
+
+    # `lines` holds the first h + 1 last-axis columns of the (3/2-padded
+    # when de-aliasing) product lattice: the spectrum of the predicted
+    # midpoint, then that of f; `phys`, `power`, `spec` a block of rows.
+    M = 3 * N // 2 if dealias else N
+    lines = np.zeros((M,) * (n - 1) + (h + 1,), dtype=complex)
+    line_rows = lines.reshape(-1, h + 1)
+    block = max(1, _BLOCK_SAMPLES // M)
+    phys, power = np.empty((block, M)), np.empty((block, M))
+    spec = np.empty((block, M // 2 + 1), dtype=complex)
+    mid = f_mid = np.empty_like(v) if dealias else lines  # mid is spent first
     monitor = (np.empty(v.shape), np.empty(v.shape))  # for _parseval_l2
-    snapshots = [Snapshot(data.t, Field(grid, u0, "physical"),
-                          Field(grid, ut0, "physical"))]
     for step in range(1, steps + 1):
-        np.multiply(k0_f, v, out=v_new)
-        v_new += np.multiply(k1_f, vt, out=prod)
-        np.multiply(dk0_f, v, out=vt_new)
-        vt_new += np.multiply(dk1_f, vt, out=prod)
+        apply(v_new, (k0_f, v), (k1_f, vt))
+        apply(vt_new, (dk0_f, v), (dk1_f, vt))
         if nonlinearity != "none":
-            np.multiply(mid0, v, out=mid)
-            mid += np.multiply(mid1, vt, out=prod)
-            _irfft(_pad_half(mid, padded) if dealias else mid, M, out=phys,
-                   cols=cols)
-            np.abs(phys, out=phys)
-            if dealias and p >= 1:
-                np.copyto(power, phys)
-                for _ in range(int(p) - 1):
-                    power *= phys
-            else:
-                np.power(phys, p, out=power)
-            spectrum = np.fft.rfftn(power, out=cols if dealias else f_mid)
+            apply(mid, (mid0, v), (mid1, vt))
             if dealias:
-                _truncate_half(spectrum, f_mid)
-            v_new += np.multiply(weight_u, f_mid, out=prod)
-            vt_new += np.multiply(weight_ut, f_mid, out=prod)
+                _pad_half(mid, lines, M)
+            _leading_ffts(lines, inverse=True)
+            for start in range(0, len(line_rows), block):
+                rows = line_rows[start:start + block]
+                x, y = phys[:len(rows)], power[:len(rows)]
+                np.abs(np.fft.irfft(rows, M, out=x), out=x)
+                if dealias and p >= 1:
+                    np.copyto(y, x)
+                    for _ in range(int(p) - 1):
+                        y *= x
+                else:
+                    np.power(x, p, out=y)
+                rows[...] = np.fft.rfft(y, out=spec[:len(rows)])[:, :h + 1]
+            _leading_ffts(lines, inverse=False)
+            if dealias:
+                _truncate_half(lines, f_mid, M)
+            apply(v_new, (weight_u, f_mid), add=True)
+            apply(vt_new, (weight_ut, f_mid), add=True)
         v, v_new, vt, vt_new = v_new, v, vt_new, vt
-        t = data.t + step * dt
+        t = t0 + step * dt
 
         store = step % store_every == 0 or step == steps
-        u = _irfft(v, grid.N) if store or ceiling_q != 2 else None
+        u = np.fft.irfftn(v) if store or ceiling_q != 2 else None
         norm = (_parseval_l2(v, grid, *monitor) if ceiling_q == 2
                 else lq_norm(Field(grid, u, "physical"), ceiling_q))
         if not np.isfinite(norm) or norm > norm_ceiling:
             raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
                               ceiling=norm_ceiling)
         if store:
-            ut = Field(grid, _irfft(vt, grid.N), "physical")
-            snapshots.append(Snapshot(t, Field(grid, u, "physical"), ut))
-    return Trajectory(snapshots=tuple(snapshots), params=params)
+            ut = Field(grid, np.fft.irfftn(vt), "physical")
+            yield Snapshot(t, Field(grid, u, "physical"), ut)
 
 
 def lq_norm(field: Field, q: float) -> float:

@@ -5,16 +5,23 @@
   the kernel profiles;
 - kernel_hat_oscillatory: the closed trigonometric form of the kernels
   above the coalescence radius, the reference for their high-frequency
-  evaluation.
+  evaluation;
+- whole_lattice_semilinear_solve: the real-field exponential Duhamel
+  stepper as it was before it streamed, with every multiplier on the
+  whole half lattice and every padded transform and |u|^p on the whole
+  padded lattice, the reference that the streaming solve must match bit
+  for bit.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from sigmalab.dispersion import coalescence_radius
+from sigmalab.dispersion import coalescence_radius, kernel_dt_values, kernel_values
 from sigmalab.kernels import _find_truncation, bessel_tilde
+from sigmalab.spectral import BlowUpError, Field, Snapshot, lq_norm
 
 
 @dataclass(frozen=True)
@@ -135,3 +142,126 @@ def kernel_hat_oscillatory(t: float, rho: float, params) -> tuple[float, float]:
                 + mu * rho ** (2.0 * delta) * np.sin(theta) / (2.0 * omega))
     k1 = env * np.sin(theta) / omega
     return float(k0), float(k1)
+
+
+# ---------------------------------------------------------------------------
+# Whole-lattice semilinear stepper
+# ---------------------------------------------------------------------------
+
+def _irfft(v, size, out=None, cols=None):
+    for axis in range(v.ndim - 1):
+        v = np.fft.ifft(v, size, axis, out=cols)
+    return np.fft.irfft(v, size, v.ndim - 1, out=out)
+
+
+def _blocks(n, N, M):
+    h = N // 2
+    halves = ((slice(0, h), slice(0, h)), (slice(h, N), slice(M - h, M)))
+    for combo in itertools.product(halves, repeat=n - 1):
+        yield (tuple(c for c, _ in combo) + (slice(0, h + 1),),
+               tuple(f for _, f in combo) + (slice(0, h + 1),))
+
+
+def _pad_half(v, out):
+    n, N, M = v.ndim, 2 * (v.shape[-1] - 1), 2 * (out.shape[-1] - 1)
+    h = N // 2
+    for coarse, fine in _blocks(n, N, M):
+        np.multiply(v[coarse], (M / N) ** n, out=out[fine])
+    out[..., h] *= 0.5
+    for axis in range(n - 1):
+        rows = np.moveaxis(out, axis, 0)
+        rows[M - h] *= 0.5
+        rows[h] = rows[M - h]
+    return out
+
+
+def _truncate_half(f, out):
+    n, M, N = f.ndim, 2 * (f.shape[-1] - 1), 2 * (out.shape[-1] - 1)
+    h = N // 2
+    low = f[..., :h + 1]
+    low *= (N / M) ** n
+    for axis in range(n - 1):
+        rows = np.moveaxis(low, axis, 0)
+        rows[M - h] += rows[h]
+        rows[M - h] *= 0.5
+    for coarse, fine in _blocks(n, N, M):
+        out[coarse] = f[fine]
+    return out
+
+
+def _parseval_l2(v, grid):
+    power = v.real * v.real + v.imag * v.imag
+    energy = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
+    return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
+
+
+def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,
+                                   store_every=1, norm_ceiling=1e6,
+                                   ceiling_q=2.0):
+    """The stored snapshots of the exponential Duhamel solve, as a tuple.
+
+    Same step as sigmalab.spectral.semilinear_solve, with the kernels on
+    the whole rfftn half lattice, the 3/2-padded transforms over every
+    column and |u|^p on whole padded fields; data must be real.
+    """
+    grid = data.u.grid
+    xi = grid.xi
+    last = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
+    axes = np.meshgrid(*([xi] * (grid.n - 1)), last, indexing="ij")
+    rho = np.sqrt(sum(a * a for a in axes))
+    p = float(params.p) if params.p is not None else 0.0
+    dealias = nonlinearity != "none" and p == int(p)
+    k0_h, k1_h, dk0_h, dk1_h, k0_f, k1_f, dk0_f, dk1_f = (
+        k.astype(complex) for tau in (dt / 2.0, dt)
+        for k in (*kernel_values(tau, rho, params),
+                  *kernel_dt_values(tau, rho, params)))
+    mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
+    weight_u, weight_ut = dt * k1_h, dt * dk1_h
+
+    u0 = data.u.to_physical().values.real.copy()
+    ut0 = data.ut.to_physical().values.real.copy()
+    v, vt = np.fft.rfftn(u0), np.fft.rfftn(ut0)
+    v_new, vt_new, mid, prod, f_mid = (np.empty_like(v) for _ in range(5))
+    M = 3 * grid.N // 2 if dealias else grid.N
+    padded, cols = (np.zeros((M,) * (grid.n - 1) + (M // 2 + 1,),
+                             dtype=complex) for _ in range(2))
+    phys, power = np.empty((M,) * grid.n), np.empty((M,) * grid.n)
+    snapshots = [Snapshot(data.t, Field(grid, u0, "physical"),
+                          Field(grid, ut0, "physical"))]
+    steps = round(t_end / dt)
+    for step in range(1, steps + 1):
+        np.multiply(k0_f, v, out=v_new)
+        v_new += np.multiply(k1_f, vt, out=prod)
+        np.multiply(dk0_f, v, out=vt_new)
+        vt_new += np.multiply(dk1_f, vt, out=prod)
+        if nonlinearity != "none":
+            np.multiply(mid0, v, out=mid)
+            mid += np.multiply(mid1, vt, out=prod)
+            _irfft(_pad_half(mid, padded) if dealias else mid, M, out=phys,
+                   cols=cols)
+            np.abs(phys, out=phys)
+            if dealias and p >= 1:
+                np.copyto(power, phys)
+                for _ in range(int(p) - 1):
+                    power *= phys
+            else:
+                np.power(phys, p, out=power)
+            spectrum = np.fft.rfftn(power, out=cols if dealias else f_mid)
+            if dealias:
+                _truncate_half(spectrum, f_mid)
+            v_new += np.multiply(weight_u, f_mid, out=prod)
+            vt_new += np.multiply(weight_ut, f_mid, out=prod)
+        v, v_new, vt, vt_new = v_new, v, vt_new, vt
+        t = data.t + step * dt
+
+        store = step % store_every == 0 or step == steps
+        u = _irfft(v, grid.N) if store or ceiling_q != 2 else None
+        norm = (_parseval_l2(v, grid) if ceiling_q == 2
+                else lq_norm(Field(grid, u, "physical"), ceiling_q))
+        if not np.isfinite(norm) or norm > norm_ceiling:
+            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
+                              ceiling=norm_ceiling)
+        if store:
+            ut = Field(grid, _irfft(vt, grid.N), "physical")
+            snapshots.append(Snapshot(t, Field(grid, u, "physical"), ut))
+    return tuple(snapshots)

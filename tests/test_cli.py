@@ -236,6 +236,17 @@ class TestEvolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "evolve.csv").exists()
 
+    def test_blow_up_writes_no_csv(self, tmp_path, capsys):
+        # The data's row is made before the first step exceeds the ceiling.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_EVOLVE.format(N=64, store_every=1) + "ceiling = 1e-9\n")
+        code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONV
+        assert "exceeded ceiling" in err and "t = 0.1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "evolve.csv").exists()
+
 
 _MODEL_1D = "[model]\nsigma = 1\ndelta = 1/4\nmu = 1\nn = 1\n"
 _SWEEP = ("[sweep s]\nwhich = {which}\nband = {band}\nregime = small_t\n"
@@ -277,6 +288,15 @@ BAD_CONFIGS = {
                     _EVOLVE.format(N=64, store_every=1) + "q_list = two\n"),
     "q-list-half": ("evolve", "every q in q_list must be >= 1",
                     _EVOLVE.format(N=64, store_every=1) + "q_list = 2,1/2\n"),
+    "q-list-duplicate": ("evolve", "q = 2 appears twice in q_list",
+                         _EVOLVE.format(N=64, store_every=1)
+                         + "q_list = 2,4,2/1\n"),
+    "ceiling-0": ("evolve", "ceiling = 0 must be positive",
+                  _EVOLVE.format(N=64, store_every=1) + "ceiling = 0\n"),
+    "ceiling-negative": ("evolve", "ceiling = -1 must be positive",
+                         _EVOLVE.format(N=64, store_every=1) + "ceiling = -1\n"),
+    "ceiling-nan": ("evolve", "ceiling = nan must be positive",
+                    _EVOLVE.format(N=64, store_every=1) + "ceiling = nan\n"),
     "decay-t-min-0": ("decay-fit", "need 0 < t_min < t_max",
                       _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
                       "[time]\nt_min = 0\nt_max = 5\n"),

@@ -1,6 +1,7 @@
 """Pseudo-spectral torus evolution and norms."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,10 +10,13 @@ import pytest
 
 from sigmalab.dispersion import kernel_dt_values, kernel_values
 from sigmalab.params import ModelParams
-from sigmalab.spectral import (BlowUpError, Field, Snapshot, Trajectory,
-                               _irfft, _pad_half, _parseval_l2, _truncate_half,
-                               gaussian_field, gevrey_energy, linear_evolve,
-                               lq_norm, make_grid, semilinear_solve, zero_field)
+from sigmalab import spectral
+from sigmalab.spectral import (BlowUpError, Field, Snapshot, _pad_half,
+                               _parseval_l2, _truncate_half, gaussian_field,
+                               gevrey_energy, linear_evolve, lq_norm, make_grid,
+                               semilinear_solve, zero_field)
+
+from oracles import whole_lattice_semilinear_solve
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
 
@@ -80,7 +84,7 @@ def reference_semilinear_solve(data, params, nonlinearity, t_end, dt,
         if step % store_every == 0 or step == steps:
             snapshots.append(Snapshot(t, Field(grid, v.copy(), "spectral"),
                                       Field(grid, vt.copy(), "spectral")))
-    return Trajectory(snapshots=tuple(snapshots), params=params)
+    return tuple(snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +175,9 @@ class TestSemilinear:
     def test_none_equals_exact_linear_flow(self):
         grid = make_grid(1, 40.0, 512)
         snap = Snapshot(0.0, gaussian_field(grid, 0.5), zero_field(grid))
-        traj = semilinear_solve(snap, P_SMALL, "none", t_end=4.0, dt=0.5,
-                                store_every=8)
+        *_, final = semilinear_solve(snap, P_SMALL, "none", t_end=4.0, dt=0.5,
+                                     store_every=8)
         exact = linear_evolve(snap, 4.0, P_SMALL)
-        final = traj.snapshots[-1]
         assert final.t == pytest.approx(4.0)
         np.testing.assert_allclose(final.u.to_physical().values,
                                    exact.u.to_physical().values, atol=1e-12)
@@ -184,10 +187,10 @@ class TestSemilinear:
         params = replace(P_SMALL, p=Fraction(3))
         eps = 1e-4
         snap = Snapshot(0.0, gaussian_field(grid, eps), zero_field(grid))
-        traj = semilinear_solve(snap, params, "abs_u_p", t_end=2.0, dt=0.05,
-                                store_every=40)
+        *_, final = semilinear_solve(snap, params, "abs_u_p", t_end=2.0,
+                                     dt=0.05, store_every=40)
         linear = linear_evolve(snap, 2.0, params)
-        diff = (traj.snapshots[-1].u.to_physical().values
+        diff = (final.u.to_physical().values
                 - linear.u.to_physical().values)
         # Cubic nonlinearity: relative deviation O(eps^2) ~ 1e-8.
         rel = np.max(np.abs(diff)) / np.max(
@@ -198,8 +201,8 @@ class TestSemilinear:
         grid = make_grid(1, 20.0, 128)
         snap = Snapshot(0.0, gaussian_field(grid, 1.0), zero_field(grid))
         with pytest.raises(BlowUpError) as exc:
-            semilinear_solve(snap, P_SMALL, "none", t_end=5.0, dt=0.5,
-                             norm_ceiling=1e-9)
+            list(semilinear_solve(snap, P_SMALL, "none", t_end=5.0, dt=0.5,
+                                  norm_ceiling=1e-9))
         assert exc.value.t > 0.0
         assert exc.value.norm > exc.value.ceiling
 
@@ -245,11 +248,12 @@ class TestRealStepper:
         params = replace(P_SMALL, n=n, p=Fraction(p))
         snap = Snapshot(0.0, gaussian_field(grid, amplitude, 1.5),
                         gaussian_field(grid, 0.5 * amplitude, 2.0))
-        new = semilinear_solve(snap, params, nonlinearity, t_end=1.0, dt=0.1)
+        new = list(semilinear_solve(snap, params, nonlinearity, t_end=1.0,
+                                    dt=0.1))
         ref = reference_semilinear_solve(snap, params, nonlinearity,
                                          t_end=1.0, dt=0.1)
-        assert len(new.snapshots) == len(ref.snapshots) == 11
-        for a, b in zip(new.snapshots, ref.snapshots):
+        assert len(new) == len(ref) == 11
+        for a, b in zip(new, ref):
             assert a.t == b.t
             assert a.u.values.dtype == a.ut.values.dtype == np.float64
             assert_same_field(a.u, b.u)
@@ -264,8 +268,8 @@ class TestRealStepper:
         errors = []
         for solve in (semilinear_solve, reference_semilinear_solve):
             with pytest.raises(BlowUpError) as exc:
-                solve(snap, params, "abs_u_p", t_end=4.0, dt=0.1,
-                      norm_ceiling=ceiling, ceiling_q=q)
+                tuple(solve(snap, params, "abs_u_p", t_end=4.0, dt=0.1,
+                            norm_ceiling=ceiling, ceiling_q=q))
             errors.append(exc.value)
         new, ref = errors
         assert 0.0 < new.t == ref.t < 4.0
@@ -301,11 +305,11 @@ class TestRealStepper:
 
         coarse, fine = without_nyquist_corners(N), without_nyquist_corners(M)
         zeros = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-        padded = _irfft(_pad_half(np.fft.rfftn(coarse), zeros), M)
+        padded = np.fft.irfftn(_pad_half(np.fft.rfftn(coarse), zeros, M))
         expected = np.fft.ifftn(_pad_spectrum(np.fft.fftn(coarse))).real
         np.testing.assert_allclose(padded, expected, rtol=0, atol=1e-14)
-        truncated = _irfft(_truncate_half(
-            np.fft.rfftn(fine), np.empty_like(np.fft.rfftn(coarse))), N)
+        truncated = np.fft.irfftn(_truncate_half(
+            np.fft.rfftn(fine), np.empty_like(np.fft.rfftn(coarse)), M))
         expected = np.fft.ifftn(_truncate_spectrum(np.fft.fftn(fine), N)).real
         np.testing.assert_allclose(truncated, expected, rtol=0, atol=1e-14)
 
@@ -319,11 +323,12 @@ class TestRealStepper:
         new, old = (np.zeros(half(M), dtype=complex) for _ in range(2))
         for _ in range(2):
             v = np.fft.rfftn(rng.standard_normal((N,) * n))
-            assert np.array_equal(_pad_half(v, new), ix_pad_half(v, old))
+            assert np.array_equal(_pad_half(v, new, M), ix_pad_half(v, old))
             f = np.fft.rfftn(rng.standard_normal((M,) * n))
             expected = ix_truncate_half(f, N)  # _truncate_half scales f
             assert np.array_equal(
-                _truncate_half(f, np.empty(half(N), dtype=complex)), expected)
+                _truncate_half(f, np.empty(half(N), dtype=complex), M),
+                expected)
 
     def test_rejects_complex_data(self):
         grid = make_grid(1, 20.0, 64)
@@ -345,8 +350,8 @@ class TestRealStepper:
             semilinear_solve(snap, P_SMALL, "none", t_end=1.0, dt=0.3)
         # The shipped preset and the benchmark's step sizes stay valid.
         for t_end, dt in [(6.0, 0.05), (0.5, 0.05), (200.0, 0.1)]:
-            steps = len(semilinear_solve(snap, P_SMALL, "none", t_end, dt,
-                                         store_every=10**6).snapshots)
+            steps = len(list(semilinear_solve(snap, P_SMALL, "none", t_end,
+                                              dt, store_every=10**6)))
             assert steps == 2
 
     @pytest.mark.parametrize("nonlinearity,order", [("abs_u_p", 1.8),
@@ -357,8 +362,8 @@ class TestRealStepper:
         grid = make_grid(1, 20.0, 512)
         params = replace(P_SMALL, p=Fraction(3))
         snap = Snapshot(0.0, gaussian_field(grid, 1.0), zero_field(grid))
-        finals = [semilinear_solve(snap, params, nonlinearity, t_end=4.0,
-                                   dt=dt, store_every=10**6).snapshots[-1]
+        finals = [list(semilinear_solve(snap, params, nonlinearity, t_end=4.0,
+                                        dt=dt, store_every=10**6))[-1]
                   for dt in (0.2, 0.1, 0.05, 0.025)]
         for part in ("u", "ut"):
             diffs = [np.linalg.norm(getattr(a, part).values
@@ -366,6 +371,66 @@ class TestRealStepper:
                      for a, b in zip(finals, finals[1:])]
             orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
             assert min(orders) >= order, (part, orders)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("block_samples", [2 ** 15, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nonlinearity", ["abs_u_p", "abs_ut_p", "none"])
+    @pytest.mark.parametrize("p", [2, Fraction(5, 2), 3])
+    def test_matches_whole_lattice_stepper(self, monkeypatch, block_samples,
+                                           n, nonlinearity, p):
+        # 1000 samples a block splits every padded lattice into several
+        # blocks of rows, the last one short.
+        monkeypatch.setattr(spectral, "_BLOCK_SAMPLES", block_samples)
+        L, N, amplitude = REFERENCE_CASES[n]
+        grid = make_grid(n, L, N)
+        params = replace(P_SMALL, n=n, p=Fraction(p))
+        snap = Snapshot(0.0, gaussian_field(grid, amplitude, 1.5),
+                        gaussian_field(grid, 0.5 * amplitude, 2.0))
+        new = list(semilinear_solve(snap, params, nonlinearity, t_end=1.0,
+                                    dt=0.1, store_every=3))
+        ref = whole_lattice_semilinear_solve(snap, params, nonlinearity,
+                                             t_end=1.0, dt=0.1, store_every=3)
+        assert [s.t for s in new] == [s.t for s in ref] == [
+            0.0, 0.30000000000000004, 0.6000000000000001, 0.9, 1.0]
+        for a, b in zip(new, ref):
+            for x, y in ((a.u.values, b.u.values), (a.ut.values, b.ut.values)):
+                if n < 3:
+                    assert np.array_equal(x, y)
+                else:
+                    assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y))
+
+    def test_memory_does_not_grow_with_stores(self):
+        grid = make_grid(3, 8.0, 32)
+        params = replace(P_SMALL, n=3, p=Fraction(3))
+        snap = Snapshot(0.0, gaussian_field(grid, 0.05, 1.5), zero_field(grid))
+        peaks = []
+        for store_every in (1, 10**6):
+            tracemalloc.start()
+            try:
+                for _ in semilinear_solve(snap, params, "abs_u_p", t_end=1.0,
+                                          dt=0.1, store_every=store_every):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        field_bytes = 32 ** 3 * 8
+        assert abs(peaks[0] - peaks[1]) < 2 * field_bytes, peaks
+
+    def test_steps_only_when_iterated(self):
+        # The first step exceeds the ceiling, so a solve that stepped on
+        # the call would raise there.
+        grid = make_grid(1, 20.0, 64)
+        snap = Snapshot(0.5, gaussian_field(grid), zero_field(grid))
+        solve = semilinear_solve(snap, P_SMALL, "none", t_end=1.0, dt=0.1,
+                                 norm_ceiling=1e-9)
+        first = next(solve)
+        assert first.t == 0.5
+        assert np.array_equal(first.u.values, snap.u.values)
+        with pytest.raises(BlowUpError) as exc:
+            next(solve)
+        assert exc.value.t == pytest.approx(0.6)
 
 
 class TestNormsAndOperators:
