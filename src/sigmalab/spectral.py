@@ -235,16 +235,13 @@ def _truncate_half(f: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
 
 
 def _leading_ffts(lines: np.ndarray, inverse: bool) -> None:
-    """In-place FFTs of `lines` (h + 1 columns) along its leading axes, in
-    irfftn's axis order (rfftn's when forward).  For n = 3 those along
-    axis 0 run only on the axis-1 rows [:h + 1] and [-h:], all that
-    _pad_half writes and _truncate_half keeps."""
+    """In-place FFTs of `lines` (the h + 1 last-axis columns that
+    _pad_half writes and _truncate_half keeps) along its leading axes, in
+    irfftn's axis order (rfftn's, the reverse, when forward)."""
     fft = np.fft.ifft if inverse else np.fft.fft
-    h, lead = lines.shape[-1] - 1, range(lines.ndim - 1)
+    lead = range(lines.ndim - 1)
     for axis in lead if inverse else reversed(lead):
-        for view in ([lines] if axis == lines.ndim - 2 else [
-                lines[:, :h + 1], lines[:, max(h + 1, len(lines) - h):]]):
-            fft(view, axis=axis, out=view)
+        fft(lines, axis=axis, out=lines)
 
 
 def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
@@ -299,11 +296,11 @@ def semilinear_solve(
 
     Buffers are allocated once per solve.  The kernels are held on the
     distinct rows 0 .. N/2 of each axis (rows k and N - k share |xi| bit
-    for bit).  The padded transforms are pruned to the N/2 + 1 columns
-    (for n = 3, and axis-1 rows) that can be nonzero or are kept, and
-    |u|^p is taken in row blocks of about 2^15 samples (irfft, abs,
-    power, rfft), so no whole padded field is held.  For n = 1 and 2 the
-    states equal those of whole-lattice transforms bit for bit.
+    for bit).  The padded transforms are pruned to the N/2 + 1 last-axis
+    columns that can be nonzero or are kept, and |u|^p is taken in row
+    blocks of about 2^15 samples (irfft, abs, power, rfft), so no whole
+    padded field is held.  For n = 1 and 2 the states equal those of
+    whole-lattice transforms bit for bit.
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
         raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
