@@ -382,6 +382,66 @@ class TestKernelNormCommand:
         ]
 
 
+#: Relative tolerance, fixed in advance, of the numeric cells of the
+#: pinned rows of the presets that evolve the linear flow.
+_PIN_RTOL = 1e-12
+
+#: The data rows of the linear-decay and gevrey-check presets, with the
+#: command that runs each and its CSV.
+LINEAR_FLOW_ROWS = {
+    "linear-decay": ("decay-fit", "decay_fit.csv", [
+        "norm_L2_u,1,1/4,1,1,2,1,0,,-0.341605365837,-1/3,0.0248160975118,0,ok",
+    ]),
+    "gevrey-check": ("gevrey", "gevrey.csv", [
+        "1,1/4,1,1,2,1,0,,0,0.2,1.1314786282,1,ok",
+        "1,1/4,1,1,2,1,0,,0.5,0.2,1.18325804741,1.04576261356,ok",
+        "1,1/4,1,1,2,1,0,,1,0.2,0.770818112386,0.681248494825,ok",
+        "1,1/4,1,1,2,1,0,,1.5,0.2,0.464962063428,0.410933138144,ok",
+        "1,1/4,1,1,2,1,0,,2,0.2,0.300396979211,0.265490634754,ok",
+        "1,1/4,1,1,2,1,0,,2.5,0.2,0.20215390455,0.178663475838,ok",
+        "1,1/4,1,1,2,1,0,,3,0.2,0.140313033628,0.124008558475,ok",
+        "1,1/4,1,1,2,1,0,,3.5,0.2,0.100068167274,0.0884401744584,ok",
+        "1,1/4,1,1,2,1,0,,4,0.2,0.0726825137954,0.0642367535578,ok",
+        "1,1/4,1,1,2,1,0,,4.5,0.2,0.0531395328089,0.0469646809799,ok",
+        "1,1/4,1,1,2,1,0,,5,0.2,0.0387114482173,0.034213150167,ok",
+        "1,1/4,1,1,2,1,0,,5.5,0.2,0.0279341707622,0.0246882000827,ok",
+        "1,1/4,1,1,2,1,0,,6,0.2,0.0199481579509,0.0176301676883,ok",
+        "1,1/4,1,1,2,1,0,,6.5,0.2,0.0141437052292,0.0125001965364,ok",
+        "1,1/4,1,1,2,1,0,,7,0.2,0.0100147397446,0.00885101980279,ok",
+        "1,1/4,1,1,2,1,0,,7.5,0.2,0.00712487488458,0.00629695931238,ok",
+        "1,1/4,1,1,2,1,0,,8,0.2,0.00511420810286,0.00451993345293,ok",
+        "1,1/4,1,1,2,1,0,,8.5,0.2,0.00370728500448,0.00327649582776,ok",
+        "1,1/4,1,1,2,1,0,,9,0.2,0.00270875373624,0.00239399460912,ok",
+        "1,1/4,1,1,2,1,0,,9.5,0.2,0.00198835896184,0.00175731022424,ok",
+        "1,1/4,1,1,2,1,0,,10,0.2,0.00146209358923,0.00129219726541,ok",
+    ]),
+}
+
+
+class TestLinearFlowPresets:
+    @pytest.mark.parametrize("preset", sorted(LINEAR_FLOW_ROWS))
+    def test_preset_rows_pinned(self, tmp_path, preset):
+        """Text cells equal the pinned rows; numeric cells agree to
+        _PIN_RTOL, so a change of spectral format may move the last
+        printed digit but nothing more."""
+        command, name, expected = LINEAR_FLOW_ROWS[preset]
+        assert main([command, "--preset", preset,
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / name).read_text().splitlines()[2:]
+        assert len(rows) == len(expected)
+        for row, pinned in zip(rows, expected):
+            cells, pinned_cells = row.split(","), pinned.split(",")
+            assert len(cells) == len(pinned_cells), row
+            for cell, want in zip(cells, pinned_cells):
+                try:
+                    value = float(want)
+                except ValueError:
+                    assert cell == want, row
+                else:
+                    assert float(cell) == pytest.approx(
+                        value, rel=_PIN_RTOL, abs=0.0), row
+
+
 class TestNonPositiveNorm:
     """A norm that is not positive cannot enter the log-log fit; the
     sweep stops with exit 3 and names the sweep and the time."""
