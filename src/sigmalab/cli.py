@@ -294,7 +294,7 @@ def _edge_fraction(snapshot: Snapshot) -> float:
     """Relative field magnitude in the outer 10% shell of the torus --
     a wrap-around monitor for decay experiments."""
     grid = snapshot.u.grid
-    phys = snapshot.u.to_physical().values
+    phys = snapshot.u.values
     coords = grid.meshgrid()
     radius = np.sqrt(sum(c ** 2 for c in coords))
     shell = radius >= 0.45 * grid.L
@@ -529,6 +529,10 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     if points < 2:
         # One point is t = 0 alone, where the ratio is 1 by construction.
         raise ConfigError("gevrey: points must be >= 2")
+    if not c > 0:
+        raise ConfigError(f"gevrey: c = {c:g} must be positive")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ConfigError(f"gevrey: t_max = {t_max:g} must be finite and >= 0")
     data = Snapshot(t=0.0,
                     u=_gaussian_from(grid,
                                      _get(data_sec, "amplitude", float, 1.0),
@@ -538,7 +542,7 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     base = gevrey_energy(data, c, params)
     rows, violations = [], 0
     for t in np.linspace(0.0, t_max, points):
-        snap = data if t == 0.0 else linear_evolve(data, float(t), params)
+        snap = linear_evolve(data, float(t), params)
         energy = gevrey_energy(snap, c, params)
         ratio = energy / base if base > 0 else 0.0
         ok = ratio <= ratio_bound
@@ -570,6 +574,9 @@ def cmd_toolkit(cfg, out_dir, strict, tol) -> int:
         raise ConfigError("toolkit: bell_max must be in 1..20")
     if not alpha_step > 0:
         raise ConfigError("toolkit: alpha_step must be positive")
+    if not (math.isfinite(alpha_max) and alpha_max >= 0):
+        raise ConfigError(f"toolkit: alpha_max = {alpha_max:g} must be "
+                          "finite and >= 0")
     if not min(times) > 0:
         raise ConfigError("toolkit: duhamel_times must be positive")
 

@@ -291,10 +291,17 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
     vals[0] = pref * limit * np.sum(base)  # ys[0] = 0
     rows = max(_DENSE_CHUNK // len(pts), 1)
     blocks = [(lo, min(lo + rows, num_y)) for lo in range(1, num_y, rows)]
+    # Nodes past the last nonzero weight (past the multiplier's support,
+    # as _find_truncation overshoots it) add exact zeros: skip their
+    # Bessel factors, keeping each row's terms and summation order.
+    live = int(np.flatnonzero(base)[-1]) + 1 if base.any() else 0
 
     def evaluate(block: tuple) -> None:
         lo, hi = block
-        vals[lo:hi] = pref * np.sum(base * bessel_tilde(mu, ys[lo:hi, None] * pts), axis=1)
+        products = np.zeros((hi - lo, len(pts)))
+        np.multiply(base[:live], bessel_tilde(mu, ys[lo:hi, None] * pts[:live]),
+                    out=products[:, :live])
+        vals[lo:hi] = pref * np.sum(products, axis=1)
 
     _on_two_threads(evaluate, blocks)
     return RadialProfile(y=ys, values=vals, scale=1.0, n=n)

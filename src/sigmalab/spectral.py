@@ -8,8 +8,9 @@ with an exponential Duhamel (variation-of-constants) integrator: the
 linear part is propagated exactly over each step and the nonlinearity
 enters through midpoint quadrature of the Duhamel integral with the
 exact kernel as weight.  Observed orders are about 2 for f = |u|^p and
-1 for f = |u_t|^p.  Real fields are carried as rfftn half spectra, and
-the 3/2 padding de-aliases quadratic products only.
+1 for f = |u_t|^p.  Fields hold real physical values; the linear flow,
+the stepper and the Gevrey energy work on their rfftn half spectra,
+with the multipliers on the distinct rows of |xi| (TorusGrid.rho_rows).
 
 The torus is a desk-scale stand-in for R^n: decay measurements are only
 meaningful while the solution remains well inside the box and the
@@ -18,6 +19,7 @@ frequency spacing pi/L resolves the surviving low-frequency content.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -36,10 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Periodic lattice on [-L, L)^n with its frequency lattice.
+    """Periodic lattice on [-L, L)^n.
 
-    Frequencies are xi_k = pi k / L for k = -N/2 .. N/2 - 1 (numpy FFT
-    ordering along each axis).
+    Its frequencies are xi_k = pi k / L for k = -N/2 .. N/2 - 1 on each
+    axis; rows k and N - k of an axis share |xi_k|.
     """
 
     n: int
@@ -64,23 +66,11 @@ class TorusGrid:
         return -self.L + self.dx * np.arange(self.N)
 
     @property
-    def xi(self) -> np.ndarray:
-        """Per-axis frequencies in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
-
-    @property
-    def rho(self) -> np.ndarray:
-        """|xi| over the full n-dimensional frequency lattice."""
-        return self._abs_xi(self.xi)
-
-    @property
     def rho_rows(self) -> np.ndarray:
         """|xi| over the distinct rows of the rfftn half lattice: xi >= 0
         on every axis, as rows k and N - k carry the same |xi|."""
-        return self._abs_xi(2.0 * np.pi * np.fft.rfftfreq(self.N, d=self.dx))
-
-    def _abs_xi(self, axis: np.ndarray) -> np.ndarray:
-        axes = np.meshgrid(*([axis] * self.n), indexing="ij")
+        xi = 2.0 * np.pi * np.fft.rfftfreq(self.N, d=self.dx)
+        axes = np.meshgrid(*([xi] * self.n), indexing="ij")
         return np.sqrt(sum(a * a for a in axes))
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
@@ -89,32 +79,22 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class Field:
-    """A grid function in physical or spectral representation.
+    """A real grid function: its float64 values at the lattice points.
 
-    Spectral values follow the unnormalised numpy fftn convention;
-    ifftn recovers physical values, which real fields hold as float64.
+    Raises ValueError for values of the wrong shape or a complex array.
     """
 
     grid: TorusGrid
     values: np.ndarray
-    space: str  # "physical" | "spectral"
 
     def __post_init__(self):
-        if self.space not in ("physical", "spectral"):
-            raise ValueError("space must be 'physical' or 'spectral'")
-        expected = (self.grid.N,) * self.grid.n
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
-
-    def to_spectral(self) -> "Field":
-        if self.space == "spectral":
-            return self
-        return Field(self.grid, np.fft.fftn(self.values), "spectral")
-
-    def to_physical(self) -> "Field":
-        if self.space == "physical":
-            return self
-        return Field(self.grid, np.fft.ifftn(self.values), "physical")
+        shape, expected = np.shape(self.values), (self.grid.N,) * self.grid.n
+        if shape != expected:
+            raise ValueError(f"values shape {shape} != {expected}")
+        if np.iscomplexobj(self.values):
+            raise ValueError("Field values must be real: no imaginary part")
+        object.__setattr__(self, "values",
+                           np.asarray(self.values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -149,7 +129,7 @@ def make_grid(n: int, L: float, N: int) -> TorusGrid:
 
 
 def zero_field(grid: TorusGrid) -> Field:
-    return Field(grid, np.zeros((grid.N,) * grid.n), "physical")
+    return Field(grid, np.zeros((grid.N,) * grid.n))
 
 
 def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
@@ -163,24 +143,26 @@ def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
         raise ValueError(f"width = {width} must be finite and positive")
     mesh = grid.meshgrid()
     r2 = sum(x * x for x in mesh)
-    return Field(grid, amplitude * np.exp(-r2 / width**2), "physical")
+    return Field(grid, amplitude * np.exp(-r2 / width**2))
 
 
 def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
-    """Exact linear flow: v = K0hat v0 + K1hat v1 modewise, likewise v_t."""
-    grid = data.u.grid
-    rho = grid.rho
-    v0 = data.u.to_spectral().values
-    v1 = data.ut.to_spectral().values
+    """Exact linear flow over a time t >= 0: v = K0hat v0 + K1hat v1 and
+    v_t = dK0hat v0 + dK1hat v1 on the rfftn half spectra of the data,
+    returned as real physical Fields at data.t + t; t = 0 returns data.
+    """
+    if t == 0:
+        return data
+    grid, rho = data.u.grid, data.u.grid.rho_rows
     k0, k1 = kernel_values(t, rho, params)
     dk0, dk1 = kernel_dt_values(t, rho, params)
-    v = k0 * v0 + k1 * v1
-    vt = dk0 * v0 + dk1 * v1
-    return Snapshot(
-        t=data.t + t,
-        u=Field(grid, v, "spectral"),
-        ut=Field(grid, vt, "spectral"),
-    )
+    v0, v1 = np.fft.rfftn(data.u.values), np.fft.rfftn(data.ut.values)
+    v, vt, prod = (np.empty_like(v0) for _ in range(3))
+    pairs = _row_pairs(grid)
+    _apply(pairs, prod, v, (k0, v0), (k1, v1))
+    _apply(pairs, prod, vt, (dk0, v0), (dk1, v1))
+    return Snapshot(data.t + t, Field(grid, np.fft.irfftn(v)),
+                    Field(grid, np.fft.irfftn(vt)))
 
 
 #: Samples per row block in which semilinear_solve takes |u|^p.
@@ -196,6 +178,28 @@ def _blocks(n: int, N: int, upper: slice):
     for combo in itertools.product(halves, repeat=n - 1):
         yield (tuple(c for c, _ in combo) + (slice(0, h + 1),),
                tuple(f for _, f in combo) + (slice(0, h + 1),))
+
+
+def _row_pairs(grid: TorusGrid) -> list:
+    """(half lattice, rho_rows) index pairs by blocks: rows [h, N) of a
+    leading axis (h = N/2) read rows h .. 1 of rho_rows."""
+    h = grid.N // 2
+    return list(_blocks(grid.n, grid.N, slice(h, 0, -1)))
+
+
+def _apply(pairs: list, prod: np.ndarray, out: np.ndarray, *terms,
+           add: bool = False) -> None:
+    """out = sum of k x over terms (out += it when add), block by block
+    of pairs (from _row_pairs): each k is held on rho_rows, each x and
+    out on the half lattice; prod is scratch of out's shape."""
+    for coarse, rows in pairs:
+        part = out[coarse]
+        for i, (k, x) in enumerate(terms):
+            if i or add:
+                np.add(part, np.multiply(k[rows], x[coarse],
+                                         out=prod[coarse]), out=part)
+            else:
+                np.multiply(k[rows], x[coarse], out=part)
 
 
 def _pad_half(v: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
@@ -234,35 +238,14 @@ def _truncate_half(f: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def _leading_ffts(lines: np.ndarray, inverse: bool) -> None:
-    """In-place FFTs of `lines` (the h + 1 last-axis columns that
-    _pad_half writes and _truncate_half keeps) along its leading axes, in
-    irfftn's axis order (rfftn's, the reverse, when forward)."""
-    fft = np.fft.ifft if inverse else np.fft.fft
-    lead = range(lines.ndim - 1)
-    for axis in lead if inverse else reversed(lead):
-        fft(lines, axis=axis, out=lines)
-
-
 def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
                  scratch: np.ndarray) -> float:
     """Lattice L^2 norm by Parseval; interior last-axis bins count twice.
-    |v|^2 is formed in power with the help of scratch, two real arrays
-    of v's shape."""
+    |v|^2 is formed in power and scratch, real arrays of v's shape."""
     np.multiply(v.real, v.real, out=power)
     power += np.multiply(v.imag, v.imag, out=scratch)
     energy = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
     return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
-
-
-def _real_field(field: Field) -> Field:
-    """A real field as physical values (spectral: up to rounding)."""
-    u = field.to_physical().values
-    slack = 1e-12 * np.max(np.abs(u)) if field.space == "spectral" else 0.0
-    if np.iscomplexobj(u) and np.max(np.abs(u.imag)) > slack:
-        raise ValueError("semilinear_solve needs real data, but a field "
-                         "has a nonzero imaginary part")
-    return Field(field.grid, u.real.copy(), "physical")
 
 
 def semilinear_solve(
@@ -277,10 +260,10 @@ def semilinear_solve(
 ) -> Iterator[Snapshot]:
     """Exponential Duhamel stepping of u_tt + (-Lap)^sigma u
     + mu (-Lap)^delta u_t = f: |u|^p ("abs_u_p"), |u_t|^p ("abs_ut_p")
-    or 0 ("none"), on real data with t_end / dt an integer (to 1e-9).
+    or 0 ("none"), with t_end / dt an integer (to 1e-9).
 
-    Arguments and data are checked on the call (ValueError), which
-    returns a generator: it steps as it is iterated, yields the data,
+    Arguments are checked and the data copied on the call (ValueError),
+    which returns a generator: it steps as it is iterated, yields the data,
     every store_every-th state and the last as Snapshots of real
     physical Fields, keeps none of them, and raises BlowUpError when the
     L^q norm (q = 2 by Parseval) exceeds norm_ceiling.
@@ -294,9 +277,8 @@ def semilinear_solve(
     taken on a 3/2-padded lattice, which de-aliases quadratic products
     only, and by repeated multiplication rather than pow.
 
-    Buffers are allocated once per solve.  The kernels are held on the
-    distinct rows 0 .. N/2 of each axis (rows k and N - k share |xi| bit
-    for bit).  The padded transforms are pruned to the N/2 + 1 last-axis
+    Buffers are allocated once per solve, and the kernels held on
+    rho_rows.  The padded transforms are pruned to the N/2 + 1 last-axis
     columns that can be nonzero or are kept, and |u|^p is taken in row
     blocks of about 2^15 samples (irfft, abs, power, rfft), so no whole
     padded field is held.  For n = 1 and 2 the states equal those of
@@ -314,7 +296,10 @@ def semilinear_solve(
         raise ValueError(f"store_every = {store_every} must be >= 1")
     if nonlinearity != "none" and params.p is None:
         raise ValueError("nonlinearity requires params.p")
-    first = Snapshot(data.t, _real_field(data.u), _real_field(data.ut))
+    # Copies, so that writes to the data's arrays after the call do not
+    # reach the solve; the first snapshot yielded holds them.
+    first = Snapshot(data.t, *(Field(f.grid, f.values.copy())
+                               for f in (data.u, data.ut)))
     return _stepping(first, params, nonlinearity, steps, dt, store_every,
                      norm_ceiling, ceiling_q)
 
@@ -335,27 +320,18 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
                   *kernel_dt_values(tau, rho, params)))
     mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
     weight_u, weight_ut = dt * k1_h, dt * dk1_h
-    pairs = list(_blocks(n, N, slice(h, 0, -1)))  # (half lattice, rows)
 
     v, vt = np.fft.rfftn(first.u.values), np.fft.rfftn(first.ut.values)
     yield first
     del first  # how long the data lives is up to the caller
     v_new, vt_new, prod = (np.empty_like(v) for _ in range(3))
-
-    def apply(out, *terms, add=False):
-        """out = sum of k x over terms (out += it when add), by blocks."""
-        for coarse, rows in pairs:
-            part = out[coarse]
-            for i, (k, x) in enumerate(terms):
-                if i or add:
-                    np.add(part, np.multiply(k[rows], x[coarse],
-                                             out=prod[coarse]), out=part)
-                else:
-                    np.multiply(k[rows], x[coarse], out=part)
+    apply = functools.partial(_apply, _row_pairs(grid), prod)
 
     # `lines` holds the first h + 1 last-axis columns of the (3/2-padded
     # when de-aliasing) product lattice: the spectrum of the predicted
-    # midpoint, then that of f; `phys`, `power`, `spec` a block of rows.
+    # midpoint, then that of f, transformed in place along the leading
+    # axes in irfftn's axis order (rfftn's when forward); `phys`,
+    # `power`, `spec` hold a block of rows.
     M = 3 * N // 2 if dealias else N
     lines = np.zeros((M,) * (n - 1) + (h + 1,), dtype=complex)
     line_rows = lines.reshape(-1, h + 1)
@@ -371,7 +347,8 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
             apply(mid, (mid0, v), (mid1, vt))
             if dealias:
                 _pad_half(mid, lines, M)
-            _leading_ffts(lines, inverse=True)
+            for axis in range(n - 1):
+                np.fft.ifft(lines, axis=axis, out=lines)
             for start in range(0, len(line_rows), block):
                 rows = line_rows[start:start + block]
                 x, y = phys[:len(rows)], power[:len(rows)]
@@ -383,7 +360,8 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
                 else:
                     np.power(x, p, out=y)
                 rows[...] = np.fft.rfft(y, out=spec[:len(rows)])[:, :h + 1]
-            _leading_ffts(lines, inverse=False)
+            for axis in reversed(range(n - 1)):
+                np.fft.fft(lines, axis=axis, out=lines)
             if dealias:
                 _truncate_half(lines, f_mid, M)
             apply(v_new, (weight_u, f_mid), add=True)
@@ -394,20 +372,19 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
         store = step % store_every == 0 or step == steps
         u = np.fft.irfftn(v) if store or ceiling_q != 2 else None
         norm = (_parseval_l2(v, grid, *monitor) if ceiling_q == 2
-                else lq_norm(Field(grid, u, "physical"), ceiling_q))
+                else lq_norm(Field(grid, u), ceiling_q))
         if not np.isfinite(norm) or norm > norm_ceiling:
             raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
                               ceiling=norm_ceiling)
         if store:
-            ut = Field(grid, np.fft.irfftn(vt), "physical")
-            yield Snapshot(t, Field(grid, u, "physical"), ut)
+            yield Snapshot(t, Field(grid, u), Field(grid, np.fft.irfftn(vt)))
 
 
 def lq_norm(field: Field, q: float) -> float:
     """Lattice L^q norm: (dx^n sum |u|^q)^{1/q}; q = inf is the lattice max."""
     if q < 1:
         raise ValueError("q must be >= 1 (or inf)")
-    u = field.to_physical().values
+    u = field.values
     if np.isinf(q):
         return float(np.max(np.abs(u)))
     dxn = field.grid.dx ** field.grid.n
@@ -421,17 +398,20 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
             (rho^{2 sigma} |v|^2 + |v_t|^2)
 
     normalised like an L^2 integral.  For the linear flow this stays
-    bounded when c is below the high-band envelope rate mu/2.
+    bounded when c is below the high-band envelope rate mu/2.  The sum
+    runs over the rfftn half spectra, interior last-axis bins counted
+    twice for their mirror modes, with the weight held on rho_rows.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
-    grid = snapshot.u.grid
-    rho = grid.rho
-    v = snapshot.u.to_spectral().values
-    vt = snapshot.ut.to_spectral().values
-    weight = np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
-    band = 1.0 - np.asarray(cutoff_chi(rho))
-    dens = rho ** (2.0 * params.sigma_f) * np.abs(v) ** 2 + np.abs(vt) ** 2
-    norm_factor = grid.dx ** grid.n / grid.N ** grid.n
-    return float(norm_factor * np.sum(weight * band * dens))
+    grid, rho = snapshot.u.grid, snapshot.u.grid.rho_rows
+    weight = (np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
+              * (1.0 - np.asarray(cutoff_chi(rho))))
+    power_v, power_vt = (np.abs(np.fft.rfftn(f.values)) ** 2
+                         for f in (snapshot.u, snapshot.ut))
+    dens, prod = np.empty(power_v.shape), np.empty(power_v.shape)
+    _apply(_row_pairs(grid), prod, dens, (weight, power_vt),
+           (weight * rho ** (2.0 * params.sigma_f), power_v))
+    energy = 2.0 * dens.sum() - dens[..., 0].sum() - dens[..., -1].sum()
+    return float(grid.dx ** grid.n / grid.N ** grid.n * energy)
 

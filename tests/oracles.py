@@ -10,7 +10,12 @@
   stepper as it was before it streamed, with every multiplier on the
   whole half lattice and every padded transform and |u|^p on the whole
   padded lattice, the reference that the streaming solve must match bit
-  for bit.
+  for bit;
+- full_spectrum_linear_evolve, full_spectrum_gevrey_energy and
+  full_spectrum_semilinear_solve: the linear flow, the Gevrey energy and
+  the complex exponential Duhamel stepper on full complex fftn spectra
+  (Spectra), the format the package used before it kept real fields on
+  rfftn half spectra only.
 """
 
 import itertools
@@ -19,9 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from sigmalab.dispersion import coalescence_radius, kernel_dt_values, kernel_values
+from sigmalab.dispersion import (coalescence_radius, cutoff_chi,
+                                 kernel_dt_values, kernel_values)
 from sigmalab.kernels import _find_truncation, bessel_tilde
-from sigmalab.spectral import BlowUpError, Field, Snapshot, lq_norm
+from sigmalab.spectral import BlowUpError, Field, Snapshot, TorusGrid, lq_norm
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,7 @@ def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,
     column and |u|^p on whole padded fields; data must be real.
     """
     grid = data.u.grid
-    xi = grid.xi
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
     last = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
     axes = np.meshgrid(*([xi] * (grid.n - 1)), last, indexing="ij")
     rho = np.sqrt(sum(a * a for a in axes))
@@ -218,16 +224,14 @@ def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,
     mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
     weight_u, weight_ut = dt * k1_h, dt * dk1_h
 
-    u0 = data.u.to_physical().values.real.copy()
-    ut0 = data.ut.to_physical().values.real.copy()
+    u0, ut0 = data.u.values.copy(), data.ut.values.copy()
     v, vt = np.fft.rfftn(u0), np.fft.rfftn(ut0)
     v_new, vt_new, mid, prod, f_mid = (np.empty_like(v) for _ in range(5))
     M = 3 * grid.N // 2 if dealias else grid.N
     padded, cols = (np.zeros((M,) * (grid.n - 1) + (M // 2 + 1,),
                              dtype=complex) for _ in range(2))
     phys, power = np.empty((M,) * grid.n), np.empty((M,) * grid.n)
-    snapshots = [Snapshot(data.t, Field(grid, u0, "physical"),
-                          Field(grid, ut0, "physical"))]
+    snapshots = [Snapshot(data.t, Field(grid, u0), Field(grid, ut0))]
     steps = round(t_end / dt)
     for step in range(1, steps + 1):
         np.multiply(k0_f, v, out=v_new)
@@ -257,11 +261,140 @@ def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,
         store = step % store_every == 0 or step == steps
         u = _irfft(v, grid.N) if store or ceiling_q != 2 else None
         norm = (_parseval_l2(v, grid) if ceiling_q == 2
-                else lq_norm(Field(grid, u, "physical"), ceiling_q))
+                else lq_norm(Field(grid, u), ceiling_q))
         if not np.isfinite(norm) or norm > norm_ceiling:
             raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
                               ceiling=norm_ceiling)
         if store:
-            ut = Field(grid, _irfft(vt, grid.N), "physical")
-            snapshots.append(Snapshot(t, Field(grid, u, "physical"), ut))
+            ut = Field(grid, _irfft(vt, grid.N))
+            snapshots.append(Snapshot(t, Field(grid, u), ut))
+    return tuple(snapshots)
+
+
+# ---------------------------------------------------------------------------
+# Full complex fftn spectra: linear flow, Gevrey energy, complex stepper
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Spectra:
+    """(u, u_t) at time t as their full complex fftn spectra."""
+
+    grid: TorusGrid
+    t: float
+    v: np.ndarray
+    vt: np.ndarray
+
+    @classmethod
+    def of(cls, snapshot):
+        return cls(snapshot.u.grid, snapshot.t, np.fft.fftn(snapshot.u.values),
+                   np.fft.fftn(snapshot.ut.values))
+
+    def physical(self):
+        """ifftn of (v, v_t): complex values whose real parts are u, u_t."""
+        return np.fft.ifftn(self.v), np.fft.ifftn(self.vt)
+
+
+def full_lattice_rho(grid):
+    """|xi| over the full n-dimensional frequency lattice, in FFT order."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
+    axes = np.meshgrid(*([xi] * grid.n), indexing="ij")
+    return np.sqrt(sum(a * a for a in axes))
+
+
+def full_spectrum_linear_evolve(data, t, params):
+    """v = K0hat v0 + K1hat v1 modewise, likewise v_t, as Spectra."""
+    rho = full_lattice_rho(data.u.grid)
+    start = Spectra.of(data)
+    v0, v1 = start.v, start.vt
+    k0, k1 = kernel_values(t, rho, params)
+    dk0, dk1 = kernel_dt_values(t, rho, params)
+    v = k0 * v0 + k1 * v1
+    vt = dk0 * v0 + dk1 * v1
+    return Spectra(data.u.grid, data.t + t, v, vt)
+
+
+def full_spectrum_gevrey_energy(state, c, params):
+    """sum over every mode of exp(2 c rho^{2 delta} t) (1 - chi(rho))
+    (rho^{2 sigma} |v|^2 + |v_t|^2), normalised like an L^2 integral."""
+    grid = state.grid
+    rho = full_lattice_rho(grid)
+    weight = np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * state.t)
+    band = 1.0 - np.asarray(cutoff_chi(rho))
+    dens = (rho ** (2.0 * params.sigma_f) * np.abs(state.v) ** 2
+            + np.abs(state.vt) ** 2)
+    norm_factor = grid.dx ** grid.n / grid.N ** grid.n
+    return float(norm_factor * np.sum(weight * band * dens))
+
+
+def _full_lq_norm(v, grid, q):
+    """Lattice L^q norm of ifftn(v)."""
+    u = np.fft.ifftn(v)
+    if np.isinf(q):
+        return float(np.max(np.abs(u)))
+    dxn = grid.dx ** grid.n
+    return float((dxn * np.sum(np.abs(u) ** q)) ** (1.0 / q))
+
+
+def pad_spectrum(v, factor=1.5):
+    """Zero-pad a full spectrum by fftshift + np.pad."""
+    N = v.shape[0]
+    M = int(round(N * factor))
+    M += M % 2
+    pad = (M - N) // 2
+    padded = np.pad(np.fft.fftshift(v), [(pad, pad)] * v.ndim)
+    return np.fft.ifftshift(padded) * (M / N) ** v.ndim
+
+
+def truncate_spectrum(v, N):
+    """Keep the central N^n modes of a full spectrum."""
+    M = v.shape[0]
+    pad = (M - N) // 2
+    sl = tuple(slice(pad, pad + N) for _ in range(v.ndim))
+    return np.fft.ifftshift(np.fft.fftshift(v)[sl]) * (N / M) ** v.ndim
+
+
+def _nonlinearity_spectrum(v, p, dealias):
+    if dealias:
+        u = np.fft.ifftn(pad_spectrum(v))
+        return truncate_spectrum(np.fft.fftn(np.abs(u) ** p), v.shape[0])
+    return np.fft.fftn(np.abs(np.fft.ifftn(v)) ** p)
+
+
+def full_spectrum_semilinear_solve(data, params, nonlinearity, t_end, dt,
+                                   store_every=1, norm_ceiling=1e6,
+                                   ceiling_q=2.0):
+    """The complex full-spectrum stepper that the real one replaced: it
+    pads with fftshift + np.pad, carries complex fftn spectra, monitors
+    the norm with an inverse FFT per step and returns the stored states
+    as a tuple of Spectra."""
+    grid = data.u.grid
+    rho = full_lattice_rho(grid)
+    p = float(params.p) if params.p is not None else 0.0
+    dealias = nonlinearity != "none" and p == int(p)
+    k0_h, k1_h = kernel_values(dt / 2.0, rho, params)
+    dk0_h, dk1_h = kernel_dt_values(dt / 2.0, rho, params)
+    k0_f, k1_f = kernel_values(dt, rho, params)
+    dk0_f, dk1_f = kernel_dt_values(dt, rho, params)
+    start = Spectra.of(data)
+    v, vt = start.v, start.vt
+    snapshots = [start]
+    steps = int(round(t_end / dt))
+    for step in range(1, steps + 1):
+        if nonlinearity == "none":
+            v, vt = k0_f * v + k1_f * vt, dk0_f * v + dk1_f * vt
+        else:
+            v_half = k0_h * v + k1_h * vt
+            vt_half = dk0_h * v + dk1_h * vt
+            source = v_half if nonlinearity == "abs_u_p" else vt_half
+            f_mid = _nonlinearity_spectrum(source, p, dealias)
+            v_new = k0_f * v + k1_f * vt + dt * k1_h * f_mid
+            vt_new = dk0_f * v + dk1_f * vt + dt * dk1_h * f_mid
+            v, vt = v_new, vt_new
+        t = data.t + step * dt
+        norm = _full_lq_norm(v, grid, ceiling_q)
+        if not np.isfinite(norm) or norm > norm_ceiling:
+            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
+                              ceiling=norm_ceiling)
+        if step % store_every == 0 or step == steps:
+            snapshots.append(Spectra(grid, t, v.copy(), vt.copy()))
     return tuple(snapshots)

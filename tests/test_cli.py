@@ -330,6 +330,27 @@ BAD_CONFIGS = {
                        _GEVREY.format(points=5) + "[data]\nwidth = 0\n"),
     "gevrey-points-0": ("gevrey", "points must be >= 2",
                         _GEVREY.format(points=0)),
+    "gevrey-c-negative": ("gevrey", "c = -1 must be positive",
+                          _GEVREY.format(points=5) + "c = -1\n"),
+    "gevrey-c-0": ("gevrey", "c = 0 must be positive",
+                   _GEVREY.format(points=5) + "c = 0\n"),
+    "gevrey-c-nan": ("gevrey", "c = nan must be positive",
+                     _GEVREY.format(points=5) + "c = nan\n"),
+    "gevrey-t-max-negative": ("gevrey", "t_max = -2 must be finite and >= 0",
+                              _GEVREY.replace("t_max = 1", "t_max = -2")
+                              .format(points=5)),
+    "gevrey-t-max-inf": ("gevrey", "t_max = inf must be finite and >= 0",
+                         _GEVREY.replace("t_max = 1", "t_max = 1e400")
+                         .format(points=5)),
+    "gevrey-t-max-nan": ("gevrey", "t_max = nan must be finite and >= 0",
+                         _GEVREY.replace("t_max = 1", "t_max = nan")
+                         .format(points=5)),
+    "alpha-max-inf": ("toolkit", "alpha_max = inf must be finite and >= 0",
+                      "[toolkit]\nalpha_max = inf\n"),
+    "alpha-max-nan": ("toolkit", "alpha_max = nan must be finite and >= 0",
+                      "[toolkit]\nalpha_max = nan\n"),
+    "alpha-max-negative": ("toolkit", "alpha_max = -1 must be finite and >= 0",
+                           "[toolkit]\nalpha_max = -1\n"),
 }
 
 

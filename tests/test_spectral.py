@@ -16,75 +16,12 @@ from sigmalab.spectral import (BlowUpError, Field, Snapshot, _pad_half,
                                gevrey_energy, linear_evolve, lq_norm, make_grid,
                                semilinear_solve, zero_field)
 
-from oracles import whole_lattice_semilinear_solve
+from oracles import (Spectra, full_spectrum_gevrey_energy,
+                     full_spectrum_linear_evolve, full_spectrum_semilinear_solve,
+                     pad_spectrum, truncate_spectrum,
+                     whole_lattice_semilinear_solve)
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
-
-
-# ---------------------------------------------------------------------------
-# Reference: the complex full-spectrum stepper that semilinear_solve replaced.
-# It pads with fftshift + np.pad, carries complex fftn spectra and monitors
-# the norm with an inverse FFT per step.
-# ---------------------------------------------------------------------------
-
-def _pad_spectrum(v, factor=1.5):
-    N = v.shape[0]
-    M = int(round(N * factor))
-    M += M % 2
-    pad = (M - N) // 2
-    padded = np.pad(np.fft.fftshift(v), [(pad, pad)] * v.ndim)
-    return np.fft.ifftshift(padded) * (M / N) ** v.ndim
-
-
-def _truncate_spectrum(v, N):
-    M = v.shape[0]
-    pad = (M - N) // 2
-    sl = tuple(slice(pad, pad + N) for _ in range(v.ndim))
-    return np.fft.ifftshift(np.fft.fftshift(v)[sl]) * (N / M) ** v.ndim
-
-
-def _nonlinearity_spectrum(v, p, dealias):
-    if dealias:
-        u = np.fft.ifftn(_pad_spectrum(v))
-        return _truncate_spectrum(np.fft.fftn(np.abs(u) ** p), v.shape[0])
-    return np.fft.fftn(np.abs(np.fft.ifftn(v)) ** p)
-
-
-def reference_semilinear_solve(data, params, nonlinearity, t_end, dt,
-                               store_every=1, norm_ceiling=1e6, ceiling_q=2.0):
-    grid = data.u.grid
-    rho = grid.rho
-    p = float(params.p) if params.p is not None else 0.0
-    dealias = nonlinearity != "none" and p == int(p)
-    k0_h, k1_h = kernel_values(dt / 2.0, rho, params)
-    dk0_h, dk1_h = kernel_dt_values(dt / 2.0, rho, params)
-    k0_f, k1_f = kernel_values(dt, rho, params)
-    dk0_f, dk1_f = kernel_dt_values(dt, rho, params)
-    v = data.u.to_spectral().values.copy()
-    vt = data.ut.to_spectral().values.copy()
-    snapshots = [Snapshot(data.t, Field(grid, v.copy(), "spectral"),
-                          Field(grid, vt.copy(), "spectral"))]
-    steps = int(round(t_end / dt))
-    for step in range(1, steps + 1):
-        if nonlinearity == "none":
-            v, vt = k0_f * v + k1_f * vt, dk0_f * v + dk1_f * vt
-        else:
-            v_half = k0_h * v + k1_h * vt
-            vt_half = dk0_h * v + dk1_h * vt
-            source = v_half if nonlinearity == "abs_u_p" else vt_half
-            f_mid = _nonlinearity_spectrum(source, p, dealias)
-            v_new = k0_f * v + k1_f * vt + dt * k1_h * f_mid
-            vt_new = dk0_f * v + dk1_f * vt + dt * dk1_h * f_mid
-            v, vt = v_new, vt_new
-        t = data.t + step * dt
-        norm = lq_norm(Field(grid, v, "spectral"), ceiling_q)
-        if not np.isfinite(norm) or norm > norm_ceiling:
-            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
-                              ceiling=norm_ceiling)
-        if step % store_every == 0 or step == steps:
-            snapshots.append(Snapshot(t, Field(grid, v.copy(), "spectral"),
-                                      Field(grid, vt.copy(), "spectral")))
-    return tuple(snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +55,7 @@ def ix_truncate_half(f, N):
 def plane_wave_snapshot(grid, k_index):
     """cos(xi_k x) initial displacement with zero velocity."""
     xi = 2.0 * np.pi * k_index / (2.0 * grid.L)
-    u = Field(grid, np.cos(xi * grid.x).astype(complex), "physical")
+    u = Field(grid, np.cos(xi * grid.x))
     return Snapshot(0.0, u, zero_field(grid)), xi
 
 
@@ -133,8 +70,15 @@ class TestGrid:
 
     def test_frequency_spacing(self):
         grid = make_grid(1, 20.0, 128)
-        xi = np.sort(grid.xi)
-        assert np.diff(xi) == pytest.approx(np.pi / 20.0)
+        assert grid.rho_rows.shape == (65,)
+        assert np.diff(grid.rho_rows) == pytest.approx(np.pi / 20.0)
+
+
+def white_noise_snapshot(grid, seed, t=0.0):
+    rng = np.random.default_rng(seed)
+    u, ut = (Field(grid, rng.standard_normal((grid.N,) * grid.n))
+             for _ in range(2))
+    return Snapshot(t, u, ut)
 
 
 class TestLinearEvolve:
@@ -149,26 +93,68 @@ class TestLinearEvolve:
             dk0, _ = kernel_dt_values(t, xi, P_SMALL)
             expected_u = k0 * np.cos(xi * grid.x)
             expected_ut = dk0 * np.cos(xi * grid.x)
-            np.testing.assert_allclose(out.u.to_physical().values.real,
-                                       expected_u, atol=1e-12)
-            np.testing.assert_allclose(out.ut.to_physical().values.real,
-                                       expected_ut, atol=1e-12)
+            np.testing.assert_allclose(out.u.values, expected_u, atol=1e-12)
+            np.testing.assert_allclose(out.ut.values, expected_ut, atol=1e-12)
 
     def test_velocity_datum_channel(self):
         grid = make_grid(1, 10.0, 256)
         xi = 2.0 * np.pi * 3 / (2.0 * grid.L)
-        ut0 = Field(grid, np.cos(xi * grid.x).astype(complex), "physical")
+        ut0 = Field(grid, np.cos(xi * grid.x))
         snap = Snapshot(0.0, zero_field(grid), ut0)
         out = linear_evolve(snap, 1.5, P_SMALL)
         _, k1 = kernel_values(1.5, xi, P_SMALL)
-        np.testing.assert_allclose(out.u.to_physical().values.real,
-                                   k1 * np.cos(xi * grid.x), atol=1e-12)
+        np.testing.assert_allclose(out.u.values, k1 * np.cos(xi * grid.x),
+                                   atol=1e-12)
 
     def test_zero_data_stays_zero(self):
         grid = make_grid(1, 5.0, 64)
         snap = Snapshot(0.0, zero_field(grid), zero_field(grid))
         out = linear_evolve(snap, 4.0, P_SMALL)
         assert lq_norm(out.u, 2.0) == 0.0
+
+    @pytest.mark.parametrize("n,k_index", [(2, (-3, 5)), (3, (-2, -3, 4))])
+    def test_off_axis_plane_wave(self, n, k_index):
+        # A negative index on a leading axis puts the wave's stored mode
+        # on a mirrored row N - k, whose |xi| is read from row k.
+        grid = make_grid(n, 10.0, 32)
+        params = replace(P_SMALL, n=n)
+        xi = [np.pi * k / grid.L for k in k_index]
+        phase = sum(x * k for x, k in zip(grid.meshgrid(), xi))
+        rho = np.sqrt(sum(k * k for k in xi))
+        snap = Snapshot(0.0, Field(grid, np.cos(phase)),
+                        Field(grid, 0.5 * np.sin(phase)))
+        for t in [0.3, 2.0]:
+            out = linear_evolve(snap, t, params)
+            k0, k1 = kernel_values(t, rho, params)
+            dk0, dk1 = kernel_dt_values(t, rho, params)
+            assert out.t == t
+            np.testing.assert_allclose(
+                out.u.values, k0 * np.cos(phase) + 0.5 * k1 * np.sin(phase),
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                out.ut.values, dk0 * np.cos(phase) + 0.5 * dk1 * np.sin(phase),
+                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    def test_matches_full_spectrum_reference(self, n, N):
+        # White noise puts O(1) content on every Nyquist row.
+        grid = make_grid(n, 6.0, N)
+        params = replace(P_SMALL, n=n)
+        snap = white_noise_snapshot(grid, seed=20 + n, t=0.5)
+        for t in [0.1, 1.0, 4.0]:
+            out = linear_evolve(snap, t, params)
+            u, ut = full_spectrum_linear_evolve(snap, t, params).physical()
+            assert out.t == 0.5 + t
+            for new, ref in ((out.u.values, u), (out.ut.values, ut)):
+                assert new.dtype == np.float64
+                np.testing.assert_allclose(
+                    new, ref.real, rtol=0,
+                    atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_zero_time_returns_data(self):
+        grid = make_grid(2, 5.0, 16)
+        snap = Snapshot(1.5, gaussian_field(grid), zero_field(grid))
+        assert linear_evolve(snap, 0.0, P_SMALL) is snap
 
 
 class TestSemilinear:
@@ -179,8 +165,7 @@ class TestSemilinear:
                                      store_every=8)
         exact = linear_evolve(snap, 4.0, P_SMALL)
         assert final.t == pytest.approx(4.0)
-        np.testing.assert_allclose(final.u.to_physical().values,
-                                   exact.u.to_physical().values, atol=1e-12)
+        np.testing.assert_allclose(final.u.values, exact.u.values, atol=1e-12)
 
     def test_small_amplitude_tracks_linear(self):
         grid = make_grid(1, 40.0, 512)
@@ -190,11 +175,9 @@ class TestSemilinear:
         *_, final = semilinear_solve(snap, params, "abs_u_p", t_end=2.0,
                                      dt=0.05, store_every=40)
         linear = linear_evolve(snap, 2.0, params)
-        diff = (final.u.to_physical().values
-                - linear.u.to_physical().values)
+        diff = final.u.values - linear.u.values
         # Cubic nonlinearity: relative deviation O(eps^2) ~ 1e-8.
-        rel = np.max(np.abs(diff)) / np.max(
-            np.abs(linear.u.to_physical().values))
+        rel = np.max(np.abs(diff)) / np.max(np.abs(linear.u.values))
         assert rel < 1e-6
 
     def test_blowup_detection(self):
@@ -230,11 +213,11 @@ class TestSemilinear:
 REFERENCE_CASES = {1: (20.0, 256, 1.0), 2: (16.0, 64, 0.1), 3: (8.0, 32, 0.05)}
 
 
-def assert_same_field(new, ref):
-    """new (real physical) against ref's real part, to 1e-12 of max |ref|."""
-    ref_values = ref.to_physical().values
+def assert_same_field(new, ref_values):
+    """A Field against the real part of complex physical values, to
+    1e-12 of their max |.|."""
     np.testing.assert_allclose(
-        new.to_physical().values, ref_values.real, rtol=1e-12,
+        new.values, ref_values.real, rtol=1e-12,
         atol=1e-12 * np.max(np.abs(ref_values)))
 
 
@@ -250,14 +233,15 @@ class TestRealStepper:
                         gaussian_field(grid, 0.5 * amplitude, 2.0))
         new = list(semilinear_solve(snap, params, nonlinearity, t_end=1.0,
                                     dt=0.1))
-        ref = reference_semilinear_solve(snap, params, nonlinearity,
-                                         t_end=1.0, dt=0.1)
+        ref = full_spectrum_semilinear_solve(snap, params, nonlinearity,
+                                             t_end=1.0, dt=0.1)
         assert len(new) == len(ref) == 11
         for a, b in zip(new, ref):
             assert a.t == b.t
             assert a.u.values.dtype == a.ut.values.dtype == np.float64
-            assert_same_field(a.u, b.u)
-            assert_same_field(a.ut, b.ut)
+            u, ut = b.physical()
+            assert_same_field(a.u, u)
+            assert_same_field(a.ut, ut)
 
     @pytest.mark.parametrize("q", [2.0, 4.0, math.inf])
     def test_blowup_matches_complex_reference(self, q):
@@ -266,7 +250,7 @@ class TestRealStepper:
         snap = Snapshot(0.0, gaussian_field(grid, 2.0), zero_field(grid))
         ceiling = 20.0 * lq_norm(snap.u, q)
         errors = []
-        for solve in (semilinear_solve, reference_semilinear_solve):
+        for solve in (semilinear_solve, full_spectrum_semilinear_solve):
             with pytest.raises(BlowUpError) as exc:
                 tuple(solve(snap, params, "abs_u_p", t_end=4.0, dt=0.1,
                             norm_ceiling=ceiling, ceiling_q=q))
@@ -281,7 +265,7 @@ class TestRealStepper:
         rng = np.random.default_rng(n)
         for values in (rng.standard_normal((N,) * n),
                        gaussian_field(grid, 0.7, 1.2).values):
-            field = Field(grid, values, "physical")
+            field = Field(grid, values)
             spectrum = np.fft.rfftn(values)
             monitor = _parseval_l2(spectrum, grid, np.empty(spectrum.shape),
                                    np.empty(spectrum.shape))
@@ -306,11 +290,11 @@ class TestRealStepper:
         coarse, fine = without_nyquist_corners(N), without_nyquist_corners(M)
         zeros = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
         padded = np.fft.irfftn(_pad_half(np.fft.rfftn(coarse), zeros, M))
-        expected = np.fft.ifftn(_pad_spectrum(np.fft.fftn(coarse))).real
+        expected = np.fft.ifftn(pad_spectrum(np.fft.fftn(coarse))).real
         np.testing.assert_allclose(padded, expected, rtol=0, atol=1e-14)
         truncated = np.fft.irfftn(_truncate_half(
             np.fft.rfftn(fine), np.empty_like(np.fft.rfftn(coarse)), M))
-        expected = np.fft.ifftn(_truncate_spectrum(np.fft.fftn(fine), N)).real
+        expected = np.fft.ifftn(truncate_spectrum(np.fft.fftn(fine), N)).real
         np.testing.assert_allclose(truncated, expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -332,11 +316,8 @@ class TestRealStepper:
 
     def test_rejects_complex_data(self):
         grid = make_grid(1, 20.0, 64)
-        u = Field(grid, gaussian_field(grid).values * (1.0 + 1e-3j),
-                  "physical")
         with pytest.raises(ValueError, match="imaginary"):
-            semilinear_solve(Snapshot(0.0, u, zero_field(grid)), P_SMALL,
-                             "none", t_end=1.0, dt=0.1)
+            Field(grid, gaussian_field(grid).values * (1.0 + 1e-3j))
 
     def test_data_constructors_are_real(self):
         grid = make_grid(2, 10.0, 16)
@@ -418,6 +399,15 @@ class TestStreaming:
         field_bytes = 32 ** 3 * 8
         assert abs(peaks[0] - peaks[1]) < 2 * field_bytes, peaks
 
+    def test_data_are_taken_on_the_call(self):
+        grid = make_grid(1, 20.0, 64)
+        snap = Snapshot(0.0, gaussian_field(grid), zero_field(grid))
+        expected = list(semilinear_solve(snap, P_SMALL, "none", 1.0, 0.5))
+        solve = semilinear_solve(snap, P_SMALL, "none", 1.0, 0.5)
+        snap.u.values[:] = 0.0
+        for a, b in zip(solve, expected, strict=True):
+            assert np.array_equal(a.u.values, b.u.values)
+
     def test_steps_only_when_iterated(self):
         # The first step exceeds the ceiling, so a solve that stepped on
         # the call would raise there.
@@ -437,7 +427,7 @@ class TestNormsAndOperators:
     def test_lq_norm_constant_field(self):
         grid = make_grid(1, 10.0, 64)
         c = 0.7
-        f = Field(grid, np.full(64, c, dtype=complex), "physical")
+        f = Field(grid, np.full(64, c))
         for q in [1.0, 2.0, 4.0]:
             assert lq_norm(f, q) == pytest.approx(c * (2 * grid.L) ** (1 / q))
         assert lq_norm(f, math.inf) == pytest.approx(c)
@@ -455,6 +445,25 @@ class TestNormsAndOperators:
     def test_gevrey_energy_requires_positive_rate(self):
         grid = make_grid(1, 10.0, 64)
         snap = Snapshot(0.0, gaussian_field(grid), zero_field(grid))
-        with pytest.raises(ValueError):
-            gevrey_energy(snap, 0.0, P_SMALL)
+        for c in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                gevrey_energy(snap, c, P_SMALL)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    def test_gevrey_energy_matches_full_spectrum_reference(self, n, N):
+        # White noise puts O(1) content on every Nyquist row, which the
+        # half spectrum holds once (last axis) or mirrored (leading axes).
+        grid = make_grid(n, 6.0, N)
+        params = replace(P_SMALL, n=n)
+        snap = white_noise_snapshot(grid, seed=30 + n)
+        for t in [0.0, 0.5, 3.0]:
+            evolved = linear_evolve(snap, t, params)
+            reference = full_spectrum_linear_evolve(snap, t, params)
+            for c in [0.05, 0.2]:
+                assert gevrey_energy(evolved, c, params) == pytest.approx(
+                    full_spectrum_gevrey_energy(reference, c, params),
+                    rel=1e-13, abs=0.0)
+        assert gevrey_energy(snap, 0.2, params) == pytest.approx(
+            full_spectrum_gevrey_energy(Spectra.of(snap), 0.2, params),
+            rel=1e-13, abs=0.0)
 
