@@ -544,6 +544,10 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     for t in np.linspace(0.0, t_max, points):
         snap = linear_evolve(data, float(t), params)
         energy = gevrey_energy(snap, c, params)
+        if not math.isfinite(energy):
+            print(f"gevrey: the energy at t = {t:.12g} is {energy!r}, not finite "
+                  "(the weight exp(2 c rho^(2 delta) t) overflows)", file=sys.stderr)
+            return EXIT_NONCONV
         ratio = energy / base if base > 0 else 0.0
         ok = ratio <= ratio_bound
         violations += not ok

@@ -95,11 +95,12 @@ def kernel_values(t: float, rho: Union[np.ndarray, float], params: ModelParams):
     Real float64 arithmetic throughout: the oscillatory band (disc < 0)
     uses the damped cos/sin form, the real band (disc >= 0) the Vieta
     root and the expm1 form; see the module docstring.  Returns two real
-    float arrays of the shape of `rho`.
+    float arrays of the shape of `rho`.  Raises ValueError unless t is
+    finite and >= 0.
     """
     rho = np.asarray(rho, dtype=float)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and >= 0")
     a, b, disc = _coefficients(rho, params)
     osc = disc < 0.0
     if osc.all():

@@ -210,11 +210,24 @@ class RadialProfile:
     corresponding closed-form remainder.
     """
 
-    y: np.ndarray
+    dy: float
     values: np.ndarray
     scale: float
     n: int
     tail_coeff: float = 0.0
+
+    @property
+    def y(self) -> np.ndarray:
+        """The uniform radii k dy of the values (a new array per read)."""
+        return self.dy * np.arange(len(self.values))
+
+
+def _radii(dy: float, lo: int, hi: int):
+    """Pairs (s, y[lo:hi][s]) of the radii y = k dy, for consecutive slices
+    s of at most _DENSE_CHUNK indices: y in blocks, never whole."""
+    for a in range(lo, hi, _DENSE_CHUNK):
+        b = min(a + _DENSE_CHUNK, hi)
+        yield slice(a - lo, b - lo), dy * np.arange(a, b)
 
 
 def _profile_fft(g: Callable[[np.ndarray], np.ndarray], n: int,
@@ -252,7 +265,8 @@ def _profile_fft(g: Callable[[np.ndarray], np.ndarray], n: int,
         vals[1:] = sin_int[1:] / (2.0 * np.pi ** 2 * y[1:])
         vals[0] = step * np.sum(g_eta * eta * eta) / (2.0 * np.pi ** 2)
     keep = y <= y_max
-    return RadialProfile(y=y[keep], values=vals[keep], scale=1.0, n=n)
+    return RadialProfile(dy=2.0 * np.pi / (m_fft * step), values=vals[keep],
+                         scale=1.0, n=n)
 
 
 def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
@@ -304,18 +318,18 @@ def _profile_direct(g: Callable[[np.ndarray], np.ndarray], n: int,
         vals[lo:hi] = pref * np.sum(products, axis=1)
 
     _on_two_threads(evaluate, blocks)
-    return RadialProfile(y=ys, values=vals, scale=1.0, n=n)
+    return RadialProfile(dy=y_max / (num_y - 1), values=vals, scale=1.0, n=n)
 
 
 #: Sample budget for the dense unscaled FFT path.  At the cap (m_fft =
 #: 2^27) the work is one group buffer (_GROUP_SAMPLES) plus the kept
-#: bins, below m_fft/4 floats (268 MB), and then the profile's y too.
+#: bins, below m_fft/4 floats (268 MB); the profile holds no y array.
 #: The row FFTs are short, so pocketfft keeps no full-length
 #: temporaries; the sampling and column blocks add only a few MB.
 _DENSE_SAMPLE_CAP = 80_000_000
-#: Samples per row group of the dense transform, a 32 MB buffer; 2^21
-#: and 2^23 both peak higher.
-_GROUP_SAMPLES = 1 << 22
+#: Samples per row group of the dense transform, a 16 MB buffer; 2^22
+#: peaks higher in RSS, and 2^20 runs slower.
+_GROUP_SAMPLES = 1 << 21
 #: Samples per block of the dense path.  Its multiplier is a chain of
 #: float64 ufuncs, each of which streams a fresh temporary; at 2^15
 #: samples a temporary is 256 KB, so a block's whole working set stays
@@ -531,22 +545,25 @@ def _profile_dense(raw: Callable[[np.ndarray], np.ndarray], n: int, t: float,
     del rows_spectra, rows
     # Re X (n = 1) or Im X (n = 3) on the kept bins, scaled in place.
     vals = out.ravel()[:keep]
-    y = np.arange(keep, dtype=float)
-    y *= dy
     if n == 1:
         vals *= step
         vals /= np.pi
     else:
         vals *= -step
-        vals[1:] /= 2.0 * np.pi ** 2 * y[1:]
+        for s, y in _radii(dy, 1, keep):
+            vals[1:][s] /= 2.0 * np.pi ** 2 * y
         vals[0] = 0.0 if keep == 1 else vals[1]
-    # Algebraic-tail coefficient from the outer 20% of the window,
-    # assuming |I| ~ C y^{-2} out there (exact decay of the band-edge
-    # contribution after two integrations by parts).
-    outer = int(np.searchsorted(y, 0.8 * x_max, side="right"))
-    tail_coeff = (float(np.median(np.abs(vals[outer:]) * y[outer:] ** 2))
-                  if outer < keep else 0.0)
-    return RadialProfile(y=y, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff)
+    # Algebraic-tail coefficient from the bins k dy > 0.8 x_max, assuming
+    # |I| ~ C y^{-2} out there (exact decay of the band-edge contribution
+    # after two integrations by parts).
+    outer = int(0.8 * x_max / dy) - 1
+    while dy * outer <= 0.8 * x_max:
+        outer += 1
+    tail = np.abs(vals[outer:])
+    for s, y in _radii(dy, outer, keep):
+        tail[s] *= y ** 2
+    tail_coeff = float(np.median(tail, overwrite_input=True)) if len(tail) else 0.0
+    return RadialProfile(dy=dy, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff)
 
 
 def kernel_profile(which: str, a: float, t: float, band: str,
@@ -574,8 +591,7 @@ def kernel_profile(which: str, a: float, t: float, band: str,
 
     g, eta_max, hint = _scaled_window(raw, scale, t, params)
     if eta_max is None:
-        return RadialProfile(y=np.linspace(0, 1, 2), values=np.zeros(2),
-                             scale=scale, n=n)
+        return RadialProfile(dy=1.0, values=np.zeros(2), scale=scale, n=n)
     target_y = 3.0 * hint + 60.0
     for _ in range(4):
         if n in (1, 3):
@@ -585,29 +601,29 @@ def kernel_profile(which: str, a: float, t: float, band: str,
         # Tail check on the L^1 integrand: the last 15% of the radius
         # range must be negligible, else enlarge the window (within a
         # fixed sample budget).
-        integrand = np.abs(prof.values) * prof.y ** (n - 1)
-        total = np.trapezoid(integrand, prof.y)
-        cut = prof.y > 0.85 * target_y
-        tail = np.trapezoid(integrand[cut], prof.y[cut])
+        y = prof.y
+        integrand = np.abs(prof.values) * y ** (n - 1)
+        total = np.trapezoid(integrand, y)
+        cut = y > 0.85 * target_y
+        tail = np.trapezoid(integrand[cut], y[cut])
         if total == 0.0 or tail < 1e-4 * total:
             break
         next_samples = 8.0 * eta_max * (2.0 * target_y + hint + 1.0) / np.pi
         if next_samples > _DENSE_SAMPLE_CAP / 4:
             break
         target_y *= 2.0
-    return RadialProfile(y=prof.y, values=prof.values, scale=scale, n=n)
+    return RadialProfile(dy=prof.dy, values=prof.values, scale=scale, n=n)
 
 
-def _trapezoid(f: np.ndarray, x: np.ndarray) -> float:
-    """np.trapezoid(f, x) bit for bit, with its terms
-    (x[i+1] - x[i]) (f[i] + f[i+1]) / 2 formed in f in ascending blocks
-    (each reads the next block's first entry before it is overwritten)
-    instead of four temporaries of f's length."""
-    for lo in range(0, len(f) - 1, _DENSE_CHUNK):
-        hi = min(lo + _DENSE_CHUNK, len(f) - 1)
-        terms = f[lo:hi]
-        terms += f[lo + 1:hi + 1]
-        terms *= x[lo + 1:hi + 1] - x[lo:hi]
+def _trapezoid(f: np.ndarray, dy: float) -> float:
+    """np.trapezoid(f, x = dy * np.arange(len(f))) bit for bit, with its
+    terms (x[i+1] - x[i]) (f[i] + f[i+1]) / 2 formed in f in ascending
+    blocks (each reads the next block's first entry before it is
+    overwritten) instead of x and four temporaries of f's length."""
+    for (s, right), (_, left) in zip(_radii(dy, 1, len(f)), _radii(dy, 0, len(f) - 1)):
+        terms = f[:-1][s]
+        terms += f[1:][s]
+        terms *= right - left
         terms /= 2.0
     return float(f[:-1].sum())
 
@@ -650,12 +666,13 @@ def kernel_lr_norm(which: str, a: float, t: float, r: float,
     if r != 1.0:
         integrand **= r
     if n != 1:
-        integrand *= prof.y ** (n - 1)
-    integral = _SPHERE_AREA[n] * _trapezoid(integrand, prof.y)
-    if prof.tail_coeff > 0.0 and len(prof.y) and 2.0 * r > n:
+        for s, y in _radii(prof.dy, 0, len(vals)):
+            integrand[s] *= y ** (n - 1)
+    integral = _SPHERE_AREA[n] * _trapezoid(integrand, prof.dy)
+    if prof.tail_coeff > 0.0 and len(vals) and 2.0 * r > n:
         # Remainder of the |I| ~ C y^{-2} tail beyond the window:
         # S_{n-1} C^r  int_Y^inf y^{n-1-2r} dy.
-        y_edge = float(prof.y[-1])
+        y_edge = prof.dy * (len(vals) - 1)
         integral += (_SPHERE_AREA[n] * prof.tail_coeff ** r
                      * y_edge ** (n - 2.0 * r) / (2.0 * r - n))
     return float(integral ** (1.0 / r) * scale ** (n * (1.0 - 1.0 / r)))

@@ -401,17 +401,19 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
     bounded when c is below the high-band envelope rate mu/2.  The sum
     runs over the rfftn half spectra, interior last-axis bins counted
     twice for their mirror modes, with the weight held on rho_rows.
+    Where the weight overflows (large c t) it is inf or nan, unwarned.
     """
     if not c > 0:
         raise ValueError("c must be positive")
     grid, rho = snapshot.u.grid, snapshot.u.grid.rho_rows
-    weight = (np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
-              * (1.0 - np.asarray(cutoff_chi(rho))))
     power_v, power_vt = (np.abs(np.fft.rfftn(f.values)) ** 2
                          for f in (snapshot.u, snapshot.ut))
     dens, prod = np.empty(power_v.shape), np.empty(power_v.shape)
-    _apply(_row_pairs(grid), prod, dens, (weight, power_vt),
-           (weight * rho ** (2.0 * params.sigma_f), power_v))
-    energy = 2.0 * dens.sum() - dens[..., 0].sum() - dens[..., -1].sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = (np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
+                  * (1.0 - np.asarray(cutoff_chi(rho))))
+        _apply(_row_pairs(grid), prod, dens, (weight, power_vt),
+               (weight * rho ** (2.0 * params.sigma_f), power_v))
+        energy = 2.0 * dens.sum() - dens[..., 0].sum() - dens[..., -1].sum()
     return float(grid.dx ** grid.n / grid.N ** grid.n * energy)
 

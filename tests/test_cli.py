@@ -491,6 +491,22 @@ class TestNonPositiveNorm:
         assert "Traceback" not in err
 
 
+class TestGevreyOverflow:
+    def test_overflowing_weight_is_nonconvergence(self, tmp_path, capsys):
+        # The gevrey-check model to t = 2000: from t = 500 on the weight
+        # exp(2 c rho^(2 delta) t) overflows, and the energy was once
+        # written as nan with status bound_exceeded (exit 2).
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_MODEL_1D + "[grid]\nL = 100\nN = 2048\n"
+                       "[gevrey]\nt_max = 2000\npoints = 5\n")
+        code = main(["gevrey", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONV
+        assert "t = 500 " in err and "not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gevrey.csv").exists()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("preset", ["paper-examples", "bell-check"])
     def test_fast_presets_byte_identical(self, tmp_path, preset):

@@ -199,6 +199,12 @@ class TestKernels:
             np.testing.assert_allclose(d1, (k1p - k1m) / (2 * h),
                                        rtol=1e-7, atol=1e-9)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        # nan and inf once passed `t < 0` and returned nan arrays.
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            kernel_values(t, np.array([0.5, 2.0]), P_SMALL)
+
     def test_scalar_and_array_paths_agree(self):
         rho = 1.3
         for values in (kernel_values, kernel_dt_values):

@@ -163,30 +163,57 @@ class TestKernelNorms:
         # The in-place integrand and _trapezoid give the value of the
         # plain formula bit for bit, on the dense and the scaled paths.
         prof = kernel_profile("K0", 0.0, t, band, P_SMALL, n)
-        if math.isinf(r):
-            plain = np.max(np.abs(prof.values)) * prof.scale ** n
+        plain = numpy_norm(prof.values, prof.y, prof.tail_coeff, prof.scale, n, r)
+        assert kernel_lr_norm("K0", 0.0, t, r, P_SMALL, n, band=band) == plain
+
+    @pytest.mark.parametrize("path,which,n,r,t,band", [
+        ("_profile_fft", "K0", 1, 1.0, 0.3, "low"),
+        ("_profile_fft", "K1", 1, 3.0, 2.0, "high"),
+        ("_profile_fft", "K0", 3, 1.5, 2.0, "low"),
+        ("_profile_direct", "K0", 2, 1.0, 3.0, "low"),
+        ("_profile_direct", "K1", 2, 1.5, 1.0, "low")])
+    def test_scaled_paths_stay_at_the_old_abscissae(self, monkeypatch, path, which,
+                                                    n, r, t, band):
+        """The FFT and shared-panel profiles are integrated on y = k dy,
+        where they were integrated on 2 pi k / (m_fft step) (up to 2 ulps
+        away) and on linspace(0, y_max, 800) (which may differ at its
+        endpoint).  Their values are unchanged; over 48 FFT-path cases
+        the norms moved by at most 4.6e-16 relative, and over 18 n = 2
+        cases not at all."""
+        calls = []
+        original = getattr(kernels, path)
+
+        def recording(g, n, eta_max, hint, y_max):
+            prof = original(g, n, eta_max, hint, y_max)
+            calls.append((eta_max, hint, y_max, prof.values.copy()))
+            return prof
+
+        monkeypatch.setattr(kernels, path, recording)
+        norm = kernel_lr_norm(which, 0.0, t, r, P_SMALL, n, band=band)
+        eta_max, hint, y_max, values = calls[-1]
+        if path == "_profile_fft":
+            step = np.pi / (2.0 * (y_max + hint + 1.0))
+            m_fft = 1 << int(np.ceil(np.log2(4 * int(np.ceil(eta_max / step)))))
+            y_old = 2.0 * np.pi * np.arange(len(values)) / (m_fft * step)
         else:
-            integrand = np.abs(prof.values) ** r * prof.y ** (n - 1)
-            integral = _SPHERE_AREA[n] * np.trapezoid(integrand, prof.y)
-            if prof.tail_coeff > 0.0 and 2.0 * r > n:
-                integral += (_SPHERE_AREA[n] * prof.tail_coeff ** r
-                             * prof.y[-1] ** (n - 2.0 * r) / (2.0 * r - n))
-            plain = integral ** (1.0 / r) * prof.scale ** (n * (1.0 - 1.0 / r))
-        assert kernel_lr_norm("K0", 0.0, t, r, P_SMALL, n, band=band) == float(plain)
+            y_old = np.linspace(0.0, y_max, 800)
+        scale = kernels._natural_scale(t, band, P_SMALL)
+        old = numpy_norm(values, y_old, 0.0, scale, n, r)
+        assert abs(norm - old) <= 1e-15 * old
 
     def test_dense_norm_peak_memory(self):
-        # At t = 0.05 the dense transform holds one group of rows (32 MB)
-        # and the kept bins (26 MB), and the integration works in the
-        # profile's values: about 65 MiB.  Holding the whole row spectrum
-        # (134 MB) exceeds the bound, and np.trapezoid's temporaries (about
-        # 100.5 MiB) just do.
+        # At t = 0.05 the dense transform holds one group of rows (16 MB)
+        # and the kept bins (26 MB), takes the tail median in one 5 MB
+        # buffer, builds y block by block and integrates in the profile's
+        # values: about 49.2 MiB, against 65.1 MiB with 32 MB groups and
+        # the profile's y held (26 MB).
         tracemalloc.start()
         try:
             kernel_lr_norm("K0", 0.0, 0.05, 1.0, P_SMALL, 1, band="high")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * 2 ** 20
+        assert peak <= 52 * 2 ** 20
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
@@ -208,6 +235,18 @@ class TestKernelNorms:
             kernel_lr_norm("K0", 0.0, 2.0, r, P_SMALL, n, band="low")
         with pytest.raises(ValueError, match=f"not n = {n}"):
             kernel_profile("K0", 0.0, 2.0, "low", P_SMALL, n)
+
+
+def numpy_norm(values, y, tail_coeff, scale, n, r):
+    """The L^r norm of a profile by the plain numpy formula."""
+    if math.isinf(r):
+        return float(np.max(np.abs(values)) * scale ** n)
+    integrand = np.abs(values) ** r * y ** (n - 1)
+    integral = _SPHERE_AREA[n] * np.trapezoid(integrand, y)
+    if tail_coeff > 0.0 and 2.0 * r > n:
+        integral += (_SPHERE_AREA[n] * tail_coeff ** r
+                     * y[-1] ** (n - 2.0 * r) / (2.0 * r - n))
+    return float(integral ** (1.0 / r) * scale ** (n * (1.0 - 1.0 / r)))
 
 
 def reference_profile_dense(raw, n, t, params, a):
@@ -252,7 +291,7 @@ def reference_profile_dense(raw, n, t, params, a):
         vals[0] = 0.0 if keep == 1 else vals[1]
     outer = y > 0.8 * x_max
     tail_coeff = float(np.median(np.abs(vals[outer]) * y[outer] ** 2)) if np.any(outer) else 0.0
-    return RadialProfile(y=y, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff), m_fft
+    return RadialProfile(dy=dy, values=vals, scale=1.0, n=n, tail_coeff=tail_coeff), m_fft
 
 
 class TestDenseProfile:
@@ -309,14 +348,14 @@ class TestDenseProfile:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("which", ["K0", "K1"])
     @pytest.mark.parametrize("band", ["high", "full"])
-    @pytest.mark.parametrize("t,budget,groups", [(0.05, None, 4), (0.1, 1 << 15, 128)])
+    @pytest.mark.parametrize("t,budget,groups", [(0.05, None, 8), (0.1, 1 << 15, 128)])
     def test_row_groups_match_single_fft(self, monkeypatch, n, which, band, t, budget, groups):
         """The transform taken in row groups against one full-length FFT:
-        4 groups at t = 0.05 with the default group budget, and 128
+        8 groups at t = 0.05 with the default group budget, and 128
         groups of one row at t = 0.1 with the budget cut to one row.
 
         The drift is the rounding of the grouped row and column FFTs:
-        at most 1.3e-15 (n = 1) and 3.6e-14 (n = 3) of the peak in these
+        at most 1.4e-15 (n = 1) and 3.6e-14 (n = 3) of the peak in these
         cases.  tail_coeff moves by at most 1.9e-13 absolute here (n = 3,
         K0, high band, t = 0.05), so the bound is 5e-13 absolute; the
         full-band tails are medians at rounding level (2.5e-10 for n = 3,
@@ -507,7 +546,7 @@ def reference_profile_direct(g, n, eta_max, freq_hint, y_max, num_y=800):
             vals[i] = pref * limit * np.sum(base)
         else:
             vals[i] = pref * np.sum(base * bessel_tilde(mu, pts * yv))
-    return RadialProfile(y=ys, values=vals, scale=1.0, n=n)
+    return RadialProfile(dy=y_max / (num_y - 1), values=vals, scale=1.0, n=n)
 
 
 class TestDirectProfile:
@@ -549,10 +588,10 @@ class TestTrapezoid:
                                       kernels._DENSE_CHUNK + 2, 3_000_000])
     def test_bit_identical_to_numpy(self, size):
         rng = np.random.default_rng(size)
-        x = np.cumsum(rng.random(size))
+        dy = rng.random()
         f = rng.standard_normal(size)
-        expected = np.trapezoid(f, x)
-        assert kernels._trapezoid(f.copy(), x) == expected
+        expected = np.trapezoid(f, dy * np.arange(size))
+        assert kernels._trapezoid(f.copy(), dy) == expected
 
 
 class TestFitPowerLaw:

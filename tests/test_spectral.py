@@ -383,21 +383,33 @@ class TestStreaming:
                     assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y))
 
     def test_memory_does_not_grow_with_stores(self):
-        grid = make_grid(3, 8.0, 32)
+        """Storing every step or none stays within the solver's working
+        set, counted from the grid, plus a margin of two fields: a
+        snapshot kept alive across a step (two fields) breaks it."""
+        n, N = 3, 32
+        grid = make_grid(n, 8.0, N)
         params = replace(P_SMALL, n=3, p=Fraction(3))
         snap = Snapshot(0.0, gaussian_field(grid, 0.05, 1.5), zero_field(grid))
-        peaks = []
+        field, half = N ** n * 8, N ** (n - 1) * (N // 2 + 1) * 16
+        M = 3 * N // 2  # the de-aliased product's padded lattice
+        rows = spectral._BLOCK_SAMPLES // M
+        working = (10 * grid.rho_rows.size * 16  # kernels and weights
+                   # v, vt, v_new, vt_new, prod, mid, the monitor (two
+                   # real halves) and an inverse FFT's temporary
+                   + 8 * half
+                   + M ** (n - 1) * (N // 2 + 1) * 16  # padded columns
+                   + rows * (2 * M * 8 + (M // 2 + 1) * 16)  # row blocks
+                   + 2 * field)  # the snapshot being yielded
         for store_every in (1, 10**6):
             tracemalloc.start()
             try:
-                for _ in semilinear_solve(snap, params, "abs_u_p", t_end=1.0,
-                                          dt=0.1, store_every=store_every):
-                    pass
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                for stored in semilinear_solve(snap, params, "abs_u_p", t_end=1.0,
+                                               dt=0.1, store_every=store_every):
+                    del stored
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        field_bytes = 32 ** 3 * 8
-        assert abs(peaks[0] - peaks[1]) < 2 * field_bytes, peaks
+            assert peak < working + 2 * field, (store_every, peak, working)
 
     def test_data_are_taken_on_the_call(self):
         grid = make_grid(1, 20.0, 64)
