@@ -128,10 +128,18 @@ def _params_from(cfg: dict[str, dict[str, str]],
 
 
 def _model_from(cfg: dict[str, dict[str, str]]) -> ModelParams:
+    """Valid ModelParams of [model], each value finite as a float (the
+    float-using commands read the float views)."""
     params = _params_from(cfg)
     report = validate(params)
     if not report.ok:
         raise ConfigError("invalid model parameters: " + "; ".join(report.violations))
+    for key in _MODEL_KEYS:
+        try:
+            float(getattr(params, key) or 0)
+        except OverflowError:
+            raise ConfigError(f"invalid model parameters: {key} is too large "
+                              "for a float") from None
     return params
 
 
@@ -142,7 +150,7 @@ def _get(section: dict[str, str], key: str, conv: Callable, default=None):
         raise ConfigError(f"missing required key {key!r}")
     try:
         return conv(section[key])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
@@ -494,13 +502,15 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
                     ut=zero_field(grid))
     rows = []
     try:
-        for snap in semilinear_solve(data, params, nonlinearity, t_end, dt,
-                                     store_every=store_every,
-                                     norm_ceiling=ceiling):
+        solve = semilinear_solve(data, params, nonlinearity, t_end, dt,
+                                 store_every=store_every, norm_ceiling=ceiling)
+        del data  # the solve holds its own copy
+        for snap in solve:
             rows.append({**_params_cells(params), "t": snap.t,
                          **{name: lq_norm(snap.u, q)
                             for name, q in zip(names, q_list)},
                          "norm_ut_L2": lq_norm(snap.ut, 2.0)})
+            del snap  # not held while the next state is stepped
     except BlowUpError as exc:
         print(f"evolve: {exc}", file=sys.stderr)
         return EXIT_NONCONV

@@ -137,10 +137,12 @@ def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
     """Centered Gaussian amplitude * exp(-|x|^2 / width^2) on the lattice.
 
     Raises ValueError unless width is finite and positive (width = 0
-    would put 0/0 = NaN at the origin).
+    would put 0/0 = NaN at the origin) and amplitude is finite.
     """
     if not (np.isfinite(width) and width > 0):
         raise ValueError(f"width = {width} must be finite and positive")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude = {amplitude} must be finite")
     mesh = grid.meshgrid()
     r2 = sum(x * x for x in mesh)
     return Field(grid, amplitude * np.exp(-r2 / width**2))
@@ -277,12 +279,19 @@ def semilinear_solve(
     taken on a 3/2-padded lattice, which de-aliases quadratic products
     only, and by repeated multiplication rather than pow.
 
-    Buffers are allocated once per solve, and the kernels held on
-    rho_rows.  The padded transforms are pruned to the N/2 + 1 last-axis
-    columns that can be nonzero or are kept, and |u|^p is taken in row
-    blocks of about 2^15 samples (irfft, abs, power, rfft), so no whole
-    padded field is held.  For n = 1 and 2 the states equal those of
-    whole-lattice transforms bit for bit.
+    The torus does not damp its zero mode (K0hat(t, 0) = 1, K1hat(t, 0)
+    = t), so for "abs_u_p" the mean m of u obeys m'' = <|u|^p> >= |m|^p
+    (Jensen): every solve with nonzero data and m'(0) >= 0 blows up, and
+    no later than m'' = m^p does from m(0) > 0, however small the data
+    (n = 1, L = 10, p = 3, amplitude 0.1: t = 160.1 against 209.2).  The
+    torus cannot show small-data global existence.
+
+    Buffers are allocated once per solve, and the eight real kernel
+    tables a step reads are held on rho_rows.  The padded transforms are
+    pruned to the N/2 + 1 last-axis columns that can be nonzero or are
+    kept, and |u|^p is taken in row blocks of about 2^15 samples (irfft,
+    abs, power, rfft), so no whole padded field is held.  For n = 1 and 2
+    the states equal those of whole-lattice transforms bit for bit.
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
         raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
@@ -313,13 +322,14 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
     p = float(params.p) if params.p is not None else 0.0
     dealias = nonlinearity != "none" and p == int(p)
     rho = grid.rho_rows
-    # The kernels as complex arrays, so that no product casts them.
+    # Real kernels: a real x complex product has the complex one's bits.
     k0_h, k1_h, dk0_h, dk1_h, k0_f, k1_f, dk0_f, dk1_f = (
-        k.astype(complex) for tau in (dt / 2.0, dt)
+        k for tau in (dt / 2.0, dt)
         for k in (*kernel_values(tau, rho, params),
                   *kernel_dt_values(tau, rho, params)))
     mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
     weight_u, weight_ut = dt * k1_h, dt * dk1_h
+    del k0_h, k1_h, dk0_h, dk1_h  # a step reads mid0, mid1 and the weights
 
     v, vt = np.fft.rfftn(first.u.values), np.fft.rfftn(first.ut.values)
     yield first
@@ -339,7 +349,8 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
     phys, power = np.empty((block, M)), np.empty((block, M))
     spec = np.empty((block, M // 2 + 1), dtype=complex)
     mid = f_mid = np.empty_like(v) if dealias else lines  # mid is spent first
-    monitor = (np.empty(v.shape), np.empty(v.shape))  # for _parseval_l2
+    # _parseval_l2's scratch: the two real halves of prod, idle after a step
+    monitor = prod.view(np.float64).reshape(2, *v.shape)
     for step in range(1, steps + 1):
         apply(v_new, (k0_f, v), (k1_f, vt))
         apply(vt_new, (dk0_f, v), (dk1_f, vt))
@@ -388,7 +399,9 @@ def lq_norm(field: Field, q: float) -> float:
     if np.isinf(q):
         return float(np.max(np.abs(u)))
     dxn = field.grid.dx ** field.grid.n
-    return float((dxn * np.sum(np.abs(u) ** q)) ** (1.0 / q))
+    power = np.abs(u)
+    power **= q
+    return float((dxn * np.sum(power)) ** (1.0 / q))
 
 
 def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:

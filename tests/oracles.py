@@ -15,7 +15,9 @@
   full_spectrum_semilinear_solve: the linear flow, the Gevrey energy and
   the complex exponential Duhamel stepper on full complex fftn spectra
   (Spectra), the format the package used before it kept real fields on
-  rfftn half spectra only.
+  rfftn half spectra only;
+- stepper_working_set: the bytes a de-aliased streaming solve holds,
+  counted from the grid, the budget of the memory tests.
 """
 
 import itertools
@@ -27,6 +29,7 @@ import numpy as np
 from sigmalab.dispersion import (coalescence_radius, cutoff_chi,
                                  kernel_dt_values, kernel_values)
 from sigmalab.kernels import _find_truncation, bessel_tilde
+from sigmalab import spectral
 from sigmalab.spectral import BlowUpError, Field, Snapshot, TorusGrid, lq_norm
 
 
@@ -199,6 +202,21 @@ def _parseval_l2(v, grid):
     power = v.real * v.real + v.imag * v.imag
     energy = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
     return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
+
+
+def stepper_working_set(grid):
+    """Bytes that semilinear_solve holds between yields for an integer p:
+    eight real kernel tables on rho_rows, seven half spectra (v, vt,
+    v_new, vt_new, prod, which also holds the monitor's two real halves,
+    mid and an inverse FFT's temporary), the 3/2-padded columns and the
+    row blocks."""
+    n, N = grid.n, grid.N
+    M = 3 * N // 2
+    rows = spectral._BLOCK_SAMPLES // M
+    return (8 * grid.rho_rows.size * 8
+            + 7 * N ** (n - 1) * (N // 2 + 1) * 16
+            + M ** (n - 1) * (N // 2 + 1) * 16
+            + rows * (2 * M * 8 + (M // 2 + 1) * 16))
 
 
 def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ import sigmalab
 from sigmalab import cli
 from sigmalab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NONCONV, EXIT_OK,
                           PRESETS, main)
+from sigmalab.spectral import make_grid
+
+from oracles import stepper_working_set
 
 
 def read(path):
@@ -247,6 +251,29 @@ class TestEvolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "evolve.csv").exists()
 
+    def test_holds_neither_data_nor_previous_snapshot(self, tmp_path):
+        """The command's traced peak stays within the solver's working set,
+        counted from the grid, plus the snapshot being turned into its row,
+        one lq_norm temporary and a margin of one field: the initial data
+        or the previous snapshot (two fields each) held across a step
+        breaks it."""
+        n, N = 2, 256
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_EVOLVE.replace("n = 1", "n = 2").format(N=N, store_every=1)
+                       .replace("t_end = 1", "t_end = 0.4") + "q_list = 2,4\n")
+        field = N ** n * 8
+        # The solver, the snapshot and lq_norm's temporary.
+        working = stepper_working_set(make_grid(n, 20.0, N)) + 3 * field
+        tracemalloc.start()
+        try:
+            code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len((tmp_path / "evolve.csv").read_text().splitlines()) == 2 + 5
+        assert peak < working + field, (peak, working)
+
 
 _MODEL_1D = "[model]\nsigma = 1\ndelta = 1/4\nmu = 1\nn = 1\n"
 _SWEEP = ("[sweep s]\nwhich = {which}\nband = {band}\nregime = small_t\n"
@@ -351,10 +378,39 @@ BAD_CONFIGS = {
                       "[toolkit]\nalpha_max = nan\n"),
     "alpha-max-negative": ("toolkit", "alpha_max = -1 must be finite and >= 0",
                            "[toolkit]\nalpha_max = -1\n"),
+    "evolve-p-huge": ("evolve", "p is too large for a float",
+                      _EVOLVE.replace("p = 3", "p = 1e400")
+                      .format(N=64, store_every=1)),
+    "kernel-sigma-huge": ("kernel-norm", "sigma is too large for a float",
+                          _MODEL_1D.replace("sigma = 1", "sigma = 1e400")
+                          + _SWEEP.format(which="K1", band="low", points=5)),
+    "kernel-mu-huge": ("kernel-norm", "mu is too large for a float",
+                       _MODEL_1D.replace("mu = 1", "mu = 1e400")
+                       + _SWEEP.format(which="K1", band="low", points=5)),
+    "q-list-huge": ("evolve", "bad value for 'q_list'",
+                    _EVOLVE.format(N=64, store_every=1) + "q_list = 1e400\n"),
+    "evolve-amplitude-inf": ("evolve", "amplitude = inf must be finite",
+                             _EVOLVE.format(N=64, store_every=1)
+                             + "[data]\namplitude = 1e400\n"),
+    "decay-fit-amplitude-inf": ("decay-fit", "amplitude = inf must be finite",
+                                _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\n"
+                                "N = 64\n[data]\namplitude = 1e400\n"),
+    "gevrey-amplitude-inf": ("gevrey", "amplitude = inf must be finite",
+                             _GEVREY.format(points=5)
+                             + "[data]\namplitude = 1e400\n"),
 }
 
 
 class TestConfigErrors:
+    def test_admissible_keeps_exact_rationals(self, tmp_path):
+        # Only the float-using commands need a model value to fit a float.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[model]\nsigma = 2\ndelta = 9/10\nmu = 1e400\nq = 5\n"
+                       "m = 1\nn = 3\ns = 0\n[admissible]\ntheorems = T2A\n")
+        assert main(["admissible", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert ",1" + "0" * 400 + "," in (tmp_path / "admissible.csv").read_text()
+
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
     def test_bad_config_is_config_error(self, tmp_path, capsys, name):
         command, message, text = BAD_CONFIGS[name]

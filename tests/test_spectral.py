@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from sigmalab.spectral import (BlowUpError, Field, Snapshot, _pad_half,
 
 from oracles import (Spectra, full_spectrum_gevrey_energy,
                      full_spectrum_linear_evolve, full_spectrum_semilinear_solve,
-                     pad_spectrum, truncate_spectrum,
+                     pad_spectrum, stepper_working_set, truncate_spectrum,
                      whole_lattice_semilinear_solve)
 
 P_SMALL = ModelParams.make(sigma=1, delta="1/4", mu=1, n=1, q=2, m=1)
@@ -200,6 +201,31 @@ class TestSemilinear:
         snap = Snapshot(0.0, gaussian_field(grid), zero_field(grid))
         with pytest.raises(ValueError):
             semilinear_solve(snap, P_SMALL, "abs_u_p", t_end=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("p,amplitude,bound", [
+        (3, 0.5, 41.84), (3, 0.1, 209.21), (5, 0.5, 618.45)])
+    def test_blows_up_by_the_zero_mode_bound(self, p, amplitude, bound):
+        """The torus does not damp its zero mode, so the lattice mean m of
+        u obeys m'' = <|u|^p> >= |m|^p (Jensen) and, from m'(0) = 0, blows
+        up no later than the blow-up time of m'' = m^p,
+        T = m(0)^{-(p-1)/2} sqrt((p+1)/2) int_1^inf dv / sqrt(v^{p+1} - 1).
+        The solves blow up at t = 19.45, 160.1 and 147.35."""
+        grid, dt = make_grid(1, 10.0, 64), 0.05
+        snap = Snapshot(0.0, gaussian_field(grid, amplitude, 1.0),
+                        zero_field(grid))
+        with mpmath.workdps(20):
+            integral = mpmath.quad(lambda v: 1 / mpmath.sqrt(v ** (p + 1) - 1),
+                                   [1, 2, mpmath.inf])
+        T = (snap.u.values.mean() ** (-(p - 1) / 2) * math.sqrt((p + 1) / 2)
+             * float(integral))
+        assert T == pytest.approx(bound, abs=0.005)
+        solve = semilinear_solve(snap, replace(P_SMALL, p=Fraction(p)), "abs_u_p",
+                                 t_end=dt * math.ceil(T / dt), dt=dt,
+                                 store_every=10 ** 9)
+        with pytest.raises(BlowUpError) as exc:
+            for _ in solve:
+                pass
+        assert exc.value.t <= T
 
 
 #: (L, N, amplitude) per dimension for the reference comparison.  The
@@ -390,16 +416,9 @@ class TestStreaming:
         grid = make_grid(n, 8.0, N)
         params = replace(P_SMALL, n=3, p=Fraction(3))
         snap = Snapshot(0.0, gaussian_field(grid, 0.05, 1.5), zero_field(grid))
-        field, half = N ** n * 8, N ** (n - 1) * (N // 2 + 1) * 16
-        M = 3 * N // 2  # the de-aliased product's padded lattice
-        rows = spectral._BLOCK_SAMPLES // M
-        working = (10 * grid.rho_rows.size * 16  # kernels and weights
-                   # v, vt, v_new, vt_new, prod, mid, the monitor (two
-                   # real halves) and an inverse FFT's temporary
-                   + 8 * half
-                   + M ** (n - 1) * (N // 2 + 1) * 16  # padded columns
-                   + rows * (2 * M * 8 + (M // 2 + 1) * 16)  # row blocks
-                   + 2 * field)  # the snapshot being yielded
+        field = N ** n * 8
+        # The solver and the snapshot being yielded.
+        working = stepper_working_set(grid) + 2 * field
         for store_every in (1, 10**6):
             tracemalloc.start()
             try:
