@@ -20,11 +20,13 @@ or gate violations; interval gates only under ``--strict``),
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,40 +58,43 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> dict[str, dict[str, str]]:
-    """Sections of a flat INI config with [DEFAULT] merged into each, read
-    in one pass: `[name]`, `key = value` or `key: value` (the first `=`
-    or `:` splits), blank and full-line `#` / `;` comment lines only."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    """Sections of a flat INI config, read line by line from the open file
+    (universal newlines): `[name]`, `key = value` or `key: value` (the
+    first `=` or `:` splits), blank and full-line `#` / `;` comment lines
+    only.  Keys are interned, and [DEFAULT], when it has entries, is
+    merged into each other section."""
     sections: dict[str, dict[str, str]] = {}
     entries = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        value = line.strip()
-        if not value or value[0] in "#;":
-            continue
-        where = f"{path!r} line {lineno}"
-        if line[0].isspace():
-            raise ConfigError(f"{where}: indented (continuation) line")
-        if value[0] == "[" and value[-1] == "]" and len(value) > 2:
-            if value[1:-1] in sections:
-                raise ConfigError(f"{where}: duplicate section {value}")
-            entries = sections[value[1:-1]] = {}
-            continue
-        if entries is None:
-            raise ConfigError(f"{where}: key before any [section]")
-        eq, colon = value.find("="), value.find(":")
-        cut = eq if colon < 0 or 0 <= eq < colon else colon
-        if cut <= 0:
-            raise ConfigError(f"{where}: expected [section] or key = value")
-        key = value[:cut].rstrip()
-        if key in entries:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        entries[key] = value[cut + 1:].strip()
-    defaults = sections.pop("DEFAULT", {})
-    return {name: {**defaults, **keys} for name, keys in sections.items()}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                value = line.strip()
+                if not value or value[0] in "#;":
+                    continue
+                where = f"{path!r} line {lineno}"
+                if line[0].isspace():
+                    raise ConfigError(f"{where}: indented (continuation) line")
+                if value[0] == "[" and value[-1] == "]" and len(value) > 2:
+                    if value[1:-1] in sections:
+                        raise ConfigError(f"{where}: duplicate section {value}")
+                    entries = sections[value[1:-1]] = {}
+                    continue
+                if entries is None:
+                    raise ConfigError(f"{where}: key before any [section]")
+                eq, colon = value.find("="), value.find(":")
+                cut = eq if colon < 0 or 0 <= eq < colon else colon
+                if cut <= 0:
+                    raise ConfigError(f"{where}: expected [section] or key = value")
+                key = sys.intern(value[:cut].rstrip())
+                if key in entries:
+                    raise ConfigError(f"{where}: duplicate key {key!r}")
+                entries[key] = value[cut + 1:].strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    defaults = sections.pop("DEFAULT", None)
+    if defaults:
+        return {name: {**defaults, **keys} for name, keys in sections.items()}
+    return sections
 
 
 def _check_sections(cfg: dict[str, dict[str, str]],
@@ -202,17 +207,27 @@ def _params_cells(params: ModelParams) -> dict[str, str]:
     }
 
 
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    _write_cells(path, fieldnames,
-                 ([_fmt(row.get(name, "")) for name in fieldnames] for row in rows))
+def _csv_lines(fieldnames: list[str]) -> tuple[list[str], Callable]:
+    """The lines of a schema-1 CSV, begun with its header, and the
+    writerow of a csv.writer (minimal quoting, "\n" line ends) that
+    appends a row of formatted cells to them as one line."""
+    lines = ["# schema=1\n"]
+    writerow = csv.writer(SimpleNamespace(write=lines.append),
+                          lineterminator="\n").writerow
+    writerow(fieldnames)
+    return lines, writerow
 
 
-def _write_cells(path: str, fieldnames: list[str], rows) -> None:
-    """Write rows of already formatted cells as a schema-1 CSV."""
-    lines = ["# schema=1", ",".join(fieldnames)]
-    lines.extend(",".join(cells) for cells in rows)
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines)
+
+
+def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+    lines, writerow = _csv_lines(fieldnames)
+    for row in rows:
+        writerow([_fmt(row.get(name, "")) for name in fieldnames])
+    _write_lines(path, lines)
 
 
 def _interval_text(interval: AdmissibleInterval) -> str:
@@ -232,40 +247,47 @@ def _interval_text(interval: AdmissibleInterval) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _admissible_cases(cfg):
+    """(label, theorem, params, section) of each case, as it is parsed."""
+    case_sections = [s for s in cfg if s.startswith("case ")]
+    for section in case_sections:
+        entries = cfg[section]
+        if "theorem" not in entries:
+            raise ConfigError(f"section [{section}] needs a theorem key")
+        try:
+            theorem = TheoremId(entries["theorem"])
+        except ValueError as exc:
+            raise ConfigError(f"unknown theorem {entries['theorem']!r} "
+                              f"in section [{section}]") from exc
+        yield section[5:], theorem, _params_from(cfg, entries, section), section
+    if case_sections:
+        return
+    names = [t.strip() for t in
+             cfg.get("admissible", {}).get("theorems", "").split(",")
+             if t.strip()]
+    if not names:
+        raise ConfigError("no theorems configured")
+    params = _params_from(cfg)
+    for name in names:
+        try:
+            theorem = TheoremId(name)
+        except ValueError as exc:
+            raise ConfigError(f"unknown theorem {name!r}") from exc
+        yield name, theorem, params, "model"
+
+
 def cmd_admissible(cfg, out_dir, strict, tol) -> int:
     _check_sections(cfg, {"model": _MODEL_KEYS, "admissible": ("theorems",)},
                     prefixes={"case": _MODEL_KEYS + ("theorem",)})
-    rows = []
-    cases: list[tuple[str, TheoremId, ModelParams, str]] = []
-    case_sections = [s for s in cfg if s.startswith("case ")]
-    if case_sections:
-        for section in case_sections:
-            entries = cfg[section]
-            if "theorem" not in entries:
-                raise ConfigError(f"section [{section}] needs a theorem key")
-            try:
-                theorem = TheoremId(entries["theorem"])
-            except ValueError as exc:
-                raise ConfigError(f"unknown theorem {entries['theorem']!r} "
-                                  f"in section [{section}]") from exc
-            cases.append((section[5:], theorem,
-                          _params_from(cfg, entries, section), section))
-    else:
-        names = [t.strip() for t in
-                 cfg.get("admissible", {}).get("theorems", "").split(",")
-                 if t.strip()]
-        if not names:
-            raise ConfigError("no theorems configured")
-        params = _params_from(cfg)
-        for name in names:
-            try:
-                cases.append((name, TheoremId(name), params, "model"))
-            except ValueError as exc:
-                raise ConfigError(f"unknown theorem {name!r}") from exc
-
-    # admissible_interval validates each case, once, before any output.
+    fields = ["case", "theorem", *_MODEL_KEYS,
+              "interval", "empty", "gate_failed", "empty_reason"]
+    # Each case is validated, once, by admissible_interval as it is
+    # parsed, and leaves its CSV and NDJSON lines; the files are written
+    # only after every case has passed.
+    csv_lines, writerow = _csv_lines(fields)
+    json_lines = []
     gate_failures = 0
-    for label, theorem, params, section in cases:
+    for label, theorem, params, section in _admissible_cases(cfg):
         try:
             interval = admissible_interval(theorem, params)
         except ValueError as exc:
@@ -273,18 +295,13 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed
-        rows.append([label, theorem.value, *_params_cells(params).values(),
-                     _interval_text(interval), str(int(interval.empty)),
-                     str(int(gate_failed)), interval.empty_reason or ""])
-
-    # Both files are written from the same formatted cells.
-    fields = ["case", "theorem", *_params_cells(cases[0][2]).keys(),
-              "interval", "empty", "gate_failed", "empty_reason"]
-    _write_cells(os.path.join(out_dir, "admissible.csv"), fields, rows)
-    with open(os.path.join(out_dir, "admissible.ndjson"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.writelines(json.dumps(dict(zip(fields, cells))) + "\n"
-                      for cells in rows)
+        cells = [label, theorem.value, *_params_cells(params).values(),
+                 _interval_text(interval), str(int(interval.empty)),
+                 str(int(gate_failed)), interval.empty_reason or ""]
+        writerow(cells)
+        json_lines.append(json.dumps(dict(zip(fields, cells))) + "\n")
+    _write_lines(os.path.join(out_dir, "admissible.csv"), csv_lines)
+    _write_lines(os.path.join(out_dir, "admissible.ndjson"), json_lines)
     if strict and gate_failures:
         print(f"admissible: {gate_failures} gate failure(s)", file=sys.stderr)
         return EXIT_ASSERT

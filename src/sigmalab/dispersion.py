@@ -115,14 +115,18 @@ def kernel_values(t: float, rho: Union[np.ndarray, float], params: ModelParams):
     return k0, k1
 
 
-def kernel_dt_values(t: float, rho: Union[np.ndarray, float], params: ModelParams):
+def kernel_dt_values(t: float, rho: Union[np.ndarray, float], params: ModelParams,
+                     values=None):
     """Vectorised time derivatives via the identities
 
     dt K0hat = -rho^{2 sigma} K1hat,
-    dt K1hat = K0hat - mu rho^{2 delta} K1hat.
+    dt K1hat = K0hat - mu rho^{2 delta} K1hat,
+
+    from `values`, the pair kernel_values(t, rho, params) when the caller
+    already holds it (the same bits), else from a fresh evaluation.
     """
     rho = np.asarray(rho, dtype=float)
-    k0, k1 = kernel_values(t, rho, params)
+    k0, k1 = kernel_values(t, rho, params) if values is None else values
     dk0 = -(rho ** (2.0 * params.sigma_f)) * k1
     dk1 = k0 - params.mu_f * rho ** (2.0 * params.delta_f) * k1
     return dk0, dk1

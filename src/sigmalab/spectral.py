@@ -19,7 +19,6 @@ frequency spacing pi/L resolves the surviving low-frequency content.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -53,8 +52,8 @@ class TorusGrid:
             raise ValueError("n must be 1, 2, or 3")
         if self.N < 16 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two >= 16")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L = {self.L} must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -123,7 +122,7 @@ def make_grid(n: int, L: float, N: int) -> TorusGrid:
     """Build a periodic grid on [-L, L)^n.
 
     Raises ValueError unless n is 1, 2 or 3, N is a power of two >= 16
-    and L is positive.
+    and L is finite and positive.
     """
     return TorusGrid(n=n, L=float(L), N=int(N))
 
@@ -156,18 +155,18 @@ def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
     if t == 0:
         return data
     grid, rho = data.u.grid, data.u.grid.rho_rows
-    k0, k1 = kernel_values(t, rho, params)
-    dk0, dk1 = kernel_dt_values(t, rho, params)
+    k0, k1 = kernels = kernel_values(t, rho, params)
+    dk0, dk1 = kernel_dt_values(t, rho, params, kernels)
     v0, v1 = np.fft.rfftn(data.u.values), np.fft.rfftn(data.ut.values)
     v, vt, prod = (np.empty_like(v0) for _ in range(3))
-    pairs = _row_pairs(grid)
-    _apply(pairs, prod, v, (k0, v0), (k1, v1))
-    _apply(pairs, prod, vt, (dk0, v0), (dk1, v1))
+    _apply(grid, prod, v, (k0, v0), (k1, v1))
+    _apply(grid, prod, vt, (dk0, v0), (dk1, v1))
     return Snapshot(data.t + t, Field(grid, np.fft.irfftn(v)),
                     Field(grid, np.fft.irfftn(vt)))
 
 
-#: Samples per row block in which semilinear_solve takes |u|^p.
+#: Samples per row block in which semilinear_solve takes |u|^p; its
+#: diagonal passes run in chunks of an eighth of that.
 _BLOCK_SAMPLES = 2 ** 15
 
 
@@ -182,62 +181,82 @@ def _blocks(n: int, N: int, upper: slice):
                tuple(f for _, f in combo) + (slice(0, h + 1),))
 
 
-def _row_pairs(grid: TorusGrid) -> list:
-    """(half lattice, rho_rows) index pairs by blocks: rows [h, N) of a
-    leading axis (h = N/2) read rows h .. 1 of rho_rows."""
-    h = grid.N // 2
-    return list(_blocks(grid.n, grid.N, slice(h, 0, -1)))
-
-
-def _apply(pairs: list, prod: np.ndarray, out: np.ndarray, *terms,
-           add: bool = False) -> None:
-    """out = sum of k x over terms (out += it when add), block by block
-    of pairs (from _row_pairs): each k is held on rho_rows, each x and
-    out on the half lattice; prod is scratch of out's shape."""
-    for coarse, rows in pairs:
+def _apply(grid: TorusGrid, prod: np.ndarray, out: np.ndarray,
+           *terms) -> None:
+    """out = sum of k x over terms, block by block of _chunks: each k is
+    held on rho_rows, each x and out on the half lattice; prod is scratch
+    of out's shape."""
+    for coarse, _, rows in _chunks(grid.n, grid.N, grid.N, grid.N):
         part = out[coarse]
         for i, (k, x) in enumerate(terms):
-            if i or add:
+            if i:
                 np.add(part, np.multiply(k[rows], x[coarse],
                                          out=prod[coarse]), out=part)
             else:
                 np.multiply(k[rows], x[coarse], out=part)
 
 
-def _pad_half(v: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
-    """Zero-pad the N^n half spectrum v into the first N/2 + 1 columns of
-    the M^n one `out`: the blocks [:h], [-h:] of each leading axis (h =
-    N/2) are written and the rows between them zeroed; Nyquist modes go
-    half to +N/2, half to -N/2."""
-    n, N = v.ndim, 2 * (v.shape[-1] - 1)
+def _chunks(n: int, N: int, M: int, rows: int):
+    """(half lattice, padded lines, rho_rows) index triples, block by
+    block of _blocks in chunks of at most `rows` leading-axis rows: rows
+    [h, N) of a leading axis (h = N/2) sit at [M - h, M) of the M^n half
+    lattice and read rows h .. 1 of rho_rows; n = 1 is one chunk."""
     h = N // 2
-    for coarse, fine in _blocks(n, N, slice(M - h, M)):
-        np.multiply(v[coarse], (M / N) ** n, out=out[fine])
+    for (coarse, fine), (_, krows) in zip(_blocks(n, N, slice(M - h, M)),
+                                          _blocks(n, N, slice(h, 0, -1))):
+        if n == 1:
+            yield coarse, fine, krows
+            continue
+        for a in range(0, h, rows):
+            b = min(a + rows, h)
+            yield tuple(_narrow(index, a, b) for index in (coarse, fine, krows))
+
+
+def _narrow(index: tuple, a: int, b: int) -> tuple:
+    """index with its leading slice cut to the positions [a, b) of it."""
+    lead, step = index[0], index[0].step or 1
+    return (slice(lead.start + a * step, lead.start + b * step, lead.step),
+            *index[1:])
+
+
+def _pad_half(out: np.ndarray, N: int) -> np.ndarray:
+    """Finish zero-padding an N^n half spectrum into the first N/2 + 1
+    columns of the M^n one `out`, in place: it is held, scaled by
+    (M/N)^n, in the blocks [:h], [-h:] of each leading axis (h = N/2)
+    where _chunks puts it.  Nyquist modes go half to +N/2, half to -N/2,
+    and the rows between the blocks are zeroed."""
+    h = N // 2
     out[..., h] *= 0.5
-    for axis in range(n - 1):
+    for axis in range(out.ndim - 1):
         rows = np.moveaxis(out, axis, 0)
+        M = len(rows)
         rows[h + 1:M - h] = 0.0
         rows[M - h] *= 0.5
         rows[h] = rows[M - h]
     return out
 
 
-def _truncate_half(f: np.ndarray, out: np.ndarray, M: int) -> np.ndarray:
-    """Inverse of _pad_half into the N^n half spectrum `out`, scaling and
-    averaging the first N/2 + 1 columns of the M^n one f in place: a
-    leading axis's Nyquist row averages -N/2 and +N/2 (irfftn does so
-    for the last axis)."""
-    n, N = f.ndim, 2 * (out.shape[-1] - 1)
-    h = N // 2
+def _truncate_half(f: np.ndarray, N: int, M: int) -> np.ndarray:
+    """Inverse of _pad_half, in place: scale the first N/2 + 1 columns of
+    the M^n half spectrum f and average each leading axis's Nyquist rows
+    -N/2 and +N/2 (irfftn does so for the last axis); the N^n half
+    spectrum is then f's blocks where _chunks puts them."""
+    n, h = f.ndim, N // 2
     low = f[..., :h + 1]
     low *= (N / M) ** n
     for axis in range(n - 1):
         rows = np.moveaxis(low, axis, 0)
         rows[M - h] += rows[h]
         rows[M - h] *= 0.5
-    for coarse, fine in _blocks(n, N, slice(M - h, M)):
-        out[coarse] = f[fine]
-    return out
+    return f
+
+
+def _irfftn(v: np.ndarray, N: int, work: np.ndarray) -> np.ndarray:
+    """np.fft.irfftn(v) of an N^n half spectrum, bit for bit, with the
+    leading-axis transforms in `work`, complex scratch of v's shape."""
+    for axis in range(v.ndim - 1):
+        v = np.fft.ifft(v, axis=axis, out=work)
+    return np.fft.irfft(v, N)
 
 
 def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
@@ -286,11 +305,15 @@ def semilinear_solve(
     (n = 1, L = 10, p = 3, amplitude 0.1: t = 160.1 against 209.2).  The
     torus cannot show small-data global existence.
 
-    Buffers are allocated once per solve, and the eight real kernel
-    tables a step reads are held on rho_rows.  The padded transforms are
-    pruned to the N/2 + 1 last-axis columns that can be nonzero or are
-    kept, and |u|^p is taken in row blocks of about 2^15 samples (irfft,
-    abs, power, rfft), so no whole padded field is held.  For n = 1 and 2
+    Buffers are allocated once per solve.  The real kernel tables a step
+    reads (eight; four for "none") are held on rho_rows.  The state is
+    its two half spectra, stepped in place a chunk of about 2^12 samples
+    of leading rows at a time (every multiplier is diagonal).  The
+    padded transforms are pruned to the N/2 + 1 last-axis columns that
+    can be nonzero or are kept, and |u|^p is taken in row blocks of about
+    2^15 samples (irfft, abs, power, rfft), so no whole padded field is
+    held; between steps those columns hold the L^2 monitor and the
+    leading-axis inverse transforms of a stored state.  For n = 1 and 2
     the states equal those of whole-lattice transforms bit for bit.
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
@@ -320,44 +343,65 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
     grid, t0 = first.u.grid, first.t
     n, N, h = grid.n, grid.N, grid.N // 2
     p = float(params.p) if params.p is not None else 0.0
-    dealias = nonlinearity != "none" and p == int(p)
+    nonlinear = nonlinearity != "none"
+    dealias = nonlinear and p == int(p)
     rho = grid.rho_rows
-    # Real kernels: a real x complex product has the complex one's bits.
-    k0_h, k1_h, dk0_h, dk1_h, k0_f, k1_f, dk0_f, dk1_f = (
-        k for tau in (dt / 2.0, dt)
-        for k in (*kernel_values(tau, rho, params),
-                  *kernel_dt_values(tau, rho, params)))
-    mid0, mid1 = (k0_h, k1_h) if nonlinearity == "abs_u_p" else (dk0_h, dk1_h)
-    weight_u, weight_ut = dt * k1_h, dt * dk1_h
-    del k0_h, k1_h, dk0_h, dk1_h  # a step reads mid0, mid1 and the weights
+
+    def tables(tau):
+        # Real kernels: a real x complex product has the complex one's bits.
+        k = kernel_values(tau, rho, params)
+        return (*k, *kernel_dt_values(tau, rho, params, k))
+
+    k0_f, k1_f, dk0_f, dk1_f = tables(dt)
+    if nonlinear:
+        k0_h, k1_h, dk0_h, dk1_h = tables(dt / 2.0)
+        mid0, mid1 = ((k0_h, k1_h) if nonlinearity == "abs_u_p"
+                      else (dk0_h, dk1_h))
+        weight_u, weight_ut = dt * k1_h, dt * dk1_h
+        del k0_h, k1_h, dk0_h, dk1_h  # a step reads mid0, mid1, the weights
 
     v, vt = np.fft.rfftn(first.u.values), np.fft.rfftn(first.ut.values)
     yield first
     del first  # how long the data lives is up to the caller
-    v_new, vt_new, prod = (np.empty_like(v) for _ in range(3))
-    apply = functools.partial(_apply, _row_pairs(grid), prod)
 
     # `lines` holds the first h + 1 last-axis columns of the (3/2-padded
     # when de-aliasing) product lattice: the spectrum of the predicted
     # midpoint, then that of f, transformed in place along the leading
     # axes in irfftn's axis order (rfftn's when forward); `phys`,
-    # `power`, `spec` hold a block of rows.
+    # `power`, `spec` hold a block of rows.  The diagonal passes step v
+    # and vt in place, a chunk of leading rows at a time, through
+    # `scratch`.
     M = 3 * N // 2 if dealias else N
     lines = np.zeros((M,) * (n - 1) + (h + 1,), dtype=complex)
     line_rows = lines.reshape(-1, h + 1)
     block = max(1, _BLOCK_SAMPLES // M)
     phys, power = np.empty((block, M)), np.empty((block, M))
     spec = np.empty((block, M // 2 + 1), dtype=complex)
-    mid = f_mid = np.empty_like(v) if dealias else lines  # mid is spent first
-    # _parseval_l2's scratch: the two real halves of prod, idle after a step
-    monitor = prod.view(np.float64).reshape(2, *v.shape)
+    chunk_rows = max(1, _BLOCK_SAMPLES // 8 // ((h + 1) * h ** max(n - 2, 0)))
+    chunks = list(_chunks(n, N, M, chunk_rows))
+    scratch = np.empty((2, *v[chunks[0][0]].shape), dtype=complex)
+    # Between steps `lines` is idle: it holds the leading-axis inverse
+    # transforms of a stored state and _parseval_l2's two real arrays.
+    work = lines.reshape(-1)[:v.size].reshape(v.shape)
+    monitor = work.view(np.float64).reshape(2, *v.shape)
     for step in range(1, steps + 1):
-        apply(v_new, (k0_f, v), (k1_f, vt))
-        apply(vt_new, (dk0_f, v), (dk1_f, vt))
-        if nonlinearity != "none":
-            apply(mid, (mid0, v), (mid1, vt))
+        for coarse, fine, k in chunks:
+            x, xt = v[coarse], vt[coarse]
+            new_t, prod = scratch[:, :len(x)]
+            if nonlinear:  # the midpoint, scaled as _pad_half expects
+                mid = lines[fine]
+                np.multiply(mid0[k], x, out=mid)
+                np.add(mid, np.multiply(mid1[k], xt, out=prod), out=mid)
+                if dealias:
+                    mid *= (M / N) ** n
+            np.multiply(dk0_f[k], x, out=new_t)
+            np.add(new_t, np.multiply(dk1_f[k], xt, out=prod), out=new_t)
+            np.multiply(k0_f[k], x, out=x)
+            np.add(x, np.multiply(k1_f[k], xt, out=prod), out=x)
+            xt[...] = new_t
+        if nonlinear:
             if dealias:
-                _pad_half(mid, lines, M)
+                _pad_half(lines, N)
             for axis in range(n - 1):
                 np.fft.ifft(lines, axis=axis, out=lines)
             for start in range(0, len(line_rows), block):
@@ -374,21 +418,23 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
             for axis in reversed(range(n - 1)):
                 np.fft.fft(lines, axis=axis, out=lines)
             if dealias:
-                _truncate_half(lines, f_mid, M)
-            apply(v_new, (weight_u, f_mid), add=True)
-            apply(vt_new, (weight_ut, f_mid), add=True)
-        v, v_new, vt, vt_new = v_new, v, vt_new, vt
+                _truncate_half(lines, N, M)
+            for coarse, fine, k in chunks:  # the Duhamel terms
+                x, xt, f = v[coarse], vt[coarse], lines[fine]
+                prod = scratch[1, :len(x)]
+                np.add(x, np.multiply(weight_u[k], f, out=prod), out=x)
+                np.add(xt, np.multiply(weight_ut[k], f, out=prod), out=xt)
         t = t0 + step * dt
 
         store = step % store_every == 0 or step == steps
-        u = np.fft.irfftn(v) if store or ceiling_q != 2 else None
+        u = _irfftn(v, N, work) if store or ceiling_q != 2 else None
         norm = (_parseval_l2(v, grid, *monitor) if ceiling_q == 2
                 else lq_norm(Field(grid, u), ceiling_q))
         if not np.isfinite(norm) or norm > norm_ceiling:
             raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
                               ceiling=norm_ceiling)
         if store:
-            yield Snapshot(t, Field(grid, u), Field(grid, np.fft.irfftn(vt)))
+            yield Snapshot(t, Field(grid, u), Field(grid, _irfftn(vt, N, work)))
 
 
 def lq_norm(field: Field, q: float) -> float:
@@ -425,7 +471,7 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         weight = (np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
                   * (1.0 - np.asarray(cutoff_chi(rho))))
-        _apply(_row_pairs(grid), prod, dens, (weight, power_vt),
+        _apply(grid, prod, dens, (weight, power_vt),
                (weight * rho ** (2.0 * params.sigma_f), power_v))
         energy = 2.0 * dens.sum() - dens[..., 0].sum() - dens[..., -1].sum()
     return float(grid.dx ** grid.n / grid.N ** grid.n * energy)

@@ -206,16 +206,20 @@ def _parseval_l2(v, grid):
 
 def stepper_working_set(grid):
     """Bytes that semilinear_solve holds between yields for an integer p:
-    eight real kernel tables on rho_rows, seven half spectra (v, vt,
-    v_new, vt_new, prod, which also holds the monitor's two real halves,
-    mid and an inverse FFT's temporary), the 3/2-padded columns and the
-    row blocks."""
+    eight real kernel tables on rho_rows, the half spectra v and vt, the
+    two chunk scratch arrays of the in-place diagonal passes, the
+    3/2-padded columns (which also hold the monitor and the inverse
+    transforms of a stored state) and the row blocks."""
     n, N = grid.n, grid.N
-    M = 3 * N // 2
+    h, M = N // 2, 3 * N // 2
     rows = spectral._BLOCK_SAMPLES // M
+    per_row = (h + 1) * h ** max(n - 2, 0)
+    chunk = per_row * (min(h, spectral._BLOCK_SAMPLES // 8 // per_row)
+                       if n > 1 else 1)
     return (8 * grid.rho_rows.size * 8
-            + 7 * N ** (n - 1) * (N // 2 + 1) * 16
-            + M ** (n - 1) * (N // 2 + 1) * 16
+            + 2 * N ** (n - 1) * (h + 1) * 16
+            + 2 * chunk * 16
+            + M ** (n - 1) * (h + 1) * 16
             + rows * (2 * M * 8 + (M // 2 + 1) * 16))
 
 

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, schemas and determinism."""
 
 import configparser
+import csv
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,16 @@ class TestConfigReader:
         assert f"{line}: " in err and message in err
         assert "Traceback" not in err
 
+    def test_crlf_config_reads_as_lf(self, tmp_path):
+        text = ("# comment\n[DEFAULT]\nmu = 1\n\n[case T2B]\ntheorem = T2B\n"
+                "sigma: 2\n; comment\n[model]\nn = 9\n")
+        lf, crlf = tmp_path / "lf.ini", tmp_path / "crlf.ini"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        expected = {"case T2B": {"mu": "1", "theorem": "T2B", "sigma": "2"},
+                    "model": {"mu": "1", "n": "9"}}
+        assert cli._load_config(str(crlf)) == cli._load_config(str(lf)) == expected
+
     @pytest.mark.parametrize("make", [lambda p: p.mkdir(),
                                       lambda p: p.write_bytes(b"[model]\n\xff\n")],
                              ids=["directory", "not-utf8"])
@@ -213,6 +226,80 @@ class TestAdmissible:
                 "in section [case bad]") in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+
+    def test_scan_holds_two_lines_per_case(self, tmp_path):
+        """A 4000-case scan peaks below 5 MiB of traced allocations: the
+        config's sections and one CSV and one NDJSON line per case (it
+        peaked at 7.9 MiB when every case and its cells were held)."""
+        rng = random.Random(23)
+        sections = []
+        for i in range(4000):
+            theorem = rng.choice([f"T{k}{v}" for k in range(2, 7) for v in "AB"])
+            sigma = Fraction(rng.choice([2, 3, 4, 5, 6]), 2)
+            q, n = rng.choice([2, 3, 4, 6]), rng.randint(1, 9)
+            sections.append(
+                f"[case c{i:04d}]\ntheorem = {theorem}\nsigma = {sigma}\n"
+                f"delta = {sigma / 2 * Fraction(rng.randint(13, 19), 20)}\n"
+                f"mu = {rng.choice(['1/2', '1', '2'])}\nn = {n}\nq = {q}\n"
+                f"m = {rng.choice(['1', '5/4', '3/2'])}\n"
+                f"s = {sigma + Fraction(n, q) * Fraction(rng.randint(0, 6), 4)}\n")
+        cfg = tmp_path / "scan.ini"
+        cfg.write_text("\n".join(sections))
+        tracemalloc.start()
+        try:
+            code = main(["admissible", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        with open(tmp_path / "admissible.ndjson") as fh:
+            intervals = [json.loads(line)["interval"] for line in fh]
+        assert len(intervals) == 4000
+        assert 0 < intervals.count("empty") < 4000
+        assert peak < 5 * 2 ** 20, peak
+
+
+def csv_rows(text):
+    """The header and data rows of a schema-1 CSV, by csv.reader."""
+    return list(csv.reader(line for line in text.splitlines()
+                           if not line.startswith("#")))
+
+
+class TestCsvOutput:
+    """Cells that hold a comma (every non-empty interval) are quoted, so
+    each row parses to the header's width; TestKernelNormCommand checks
+    the kernel-smallt preset."""
+
+    @pytest.mark.parametrize("preset", sorted(set(PRESETS) - {"kernel-smallt"}))
+    def test_preset_rows_have_header_width(self, tmp_path, preset):
+        command = PRESETS[preset][0]
+        assert main([command, "--preset", preset, "--out", str(tmp_path)]) in (
+            EXIT_OK, EXIT_ASSERT)
+        (path,) = tmp_path.glob("*.csv")
+        header, *rows = csv_rows(path.read_text())
+        assert rows and all(len(cells) == len(header) for cells in rows)
+
+    def test_scan_rows_match_ndjson(self, tmp_path):
+        # Non-empty intervals, closed and open, and an empty one.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[case T2B]\ntheorem = T2B\nsigma = 2\ndelta = 7/8\nmu = 1\n"
+            "q = 4\nm = 1\nn = 9\ns = 0\n"
+            "[case T2A]\ntheorem = T2A\nsigma = 2\ndelta = 9/10\nmu = 1\n"
+            "q = 5\nm = 1\nn = 3\ns = 0\n"
+            "[case gated]\ntheorem = T2A\nsigma = 1\ndelta = 1/4\nmu = 1\n"
+            "q = 2\nm = 1\nn = 1\ns = 0\n")
+        assert main(["admissible", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        header, *rows = csv_rows((tmp_path / "admissible.csv").read_text())
+        records = [json.loads(line) for line in
+                   (tmp_path / "admissible.ndjson").read_text().splitlines()]
+        assert [dict(zip(header, cells)) for cells in rows] == records
+        assert [r["interval"] for r in records] == ["[4, 9]", "(13/2, inf)",
+                                                    "empty"]
+        assert '"[4, 9]"' in (tmp_path / "admissible.csv").read_text()
 
 
 class TestToolkitCommand:
@@ -398,6 +485,14 @@ BAD_CONFIGS = {
     "gevrey-amplitude-inf": ("gevrey", "amplitude = inf must be finite",
                              _GEVREY.format(points=5)
                              + "[data]\namplitude = 1e400\n"),
+    "evolve-L-inf": ("evolve", "L = inf must be finite and positive",
+                     _EVOLVE.replace("L = 20", "L = 1e400")
+                     .format(N=64, store_every=1)),
+    "decay-fit-L-nan": ("decay-fit", "L = nan must be finite and positive",
+                        _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = nan\n"
+                        "N = 64\n"),
+    "gevrey-L-inf": ("gevrey", "L = inf must be finite and positive",
+                     _GEVREY.replace("L = 20", "L = 1e400").format(points=5)),
 }
 
 
@@ -433,6 +528,10 @@ def kernel_smallt_strict(tmp_path_factory):
 
 
 class TestKernelNormCommand:
+    def test_rows_have_header_width(self, kernel_smallt_strict):
+        header, *rows = csv_rows(kernel_smallt_strict[1])
+        assert rows and all(len(cells) == len(header) for cells in rows)
+
     def test_strict_small_t_overclaim_fails(self, kernel_smallt_strict):
         # The high-band t -> 0 L^1 norm of the first kernel stays O(1);
         # the claimed -2 power law is an unsaturated upper bound, so the

@@ -11,11 +11,12 @@ import pytest
 
 from sigmalab.dispersion import kernel_dt_values, kernel_values
 from sigmalab.params import ModelParams
-from sigmalab import spectral
-from sigmalab.spectral import (BlowUpError, Field, Snapshot, _pad_half,
-                               _parseval_l2, _truncate_half, gaussian_field,
-                               gevrey_energy, linear_evolve, lq_norm, make_grid,
-                               semilinear_solve, zero_field)
+from sigmalab import dispersion, spectral
+from sigmalab.spectral import (BlowUpError, Field, Snapshot, _chunks,
+                               _pad_half, _parseval_l2, _truncate_half,
+                               gaussian_field, gevrey_energy, linear_evolve,
+                               lq_norm, make_grid, semilinear_solve,
+                               zero_field)
 
 from oracles import (Spectra, full_spectrum_gevrey_energy,
                      full_spectrum_linear_evolve, full_spectrum_semilinear_solve,
@@ -53,6 +54,23 @@ def ix_truncate_half(f, N):
     return out[(slice(0, N),) * (n - 1)]
 
 
+def pad_half(v, out, M):
+    """_pad_half after the stepper's scaled copy of v into out's blocks."""
+    n, N = v.ndim, 2 * (v.shape[-1] - 1)
+    for coarse, fine, _ in _chunks(n, N, M, 3):
+        np.multiply(v[coarse], (M / N) ** n, out=out[fine])
+    return _pad_half(out, N)
+
+
+def truncate_half(f, out, M):
+    """_truncate_half, then the blocks of f that the stepper reads, copied."""
+    n, N = f.ndim, 2 * (out.shape[-1] - 1)
+    _truncate_half(f, N, M)
+    for coarse, fine, _ in _chunks(n, N, M, 3):
+        out[coarse] = f[fine]
+    return out
+
+
 def plane_wave_snapshot(grid, k_index):
     """cos(xi_k x) initial displacement with zero velocity."""
     xi = 2.0 * np.pi * k_index / (2.0 * grid.L)
@@ -68,6 +86,11 @@ class TestGrid:
             make_grid(4, 10.0, 64)         # unsupported dimension
         with pytest.raises(ValueError):
             make_grid(1, -1.0, 64)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan, float("1e400")])
+    def test_rejects_non_finite_length(self, L):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_grid(1, L, 64)
 
     def test_frequency_spacing(self):
         grid = make_grid(1, 20.0, 128)
@@ -315,10 +338,10 @@ class TestRealStepper:
 
         coarse, fine = without_nyquist_corners(N), without_nyquist_corners(M)
         zeros = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-        padded = np.fft.irfftn(_pad_half(np.fft.rfftn(coarse), zeros, M))
+        padded = np.fft.irfftn(pad_half(np.fft.rfftn(coarse), zeros, M))
         expected = np.fft.ifftn(pad_spectrum(np.fft.fftn(coarse))).real
         np.testing.assert_allclose(padded, expected, rtol=0, atol=1e-14)
-        truncated = np.fft.irfftn(_truncate_half(
+        truncated = np.fft.irfftn(truncate_half(
             np.fft.rfftn(fine), np.empty_like(np.fft.rfftn(coarse)), M))
         expected = np.fft.ifftn(truncate_spectrum(np.fft.fftn(fine), N)).real
         np.testing.assert_allclose(truncated, expected, rtol=0, atol=1e-14)
@@ -333,11 +356,11 @@ class TestRealStepper:
         new, old = (np.zeros(half(M), dtype=complex) for _ in range(2))
         for _ in range(2):
             v = np.fft.rfftn(rng.standard_normal((N,) * n))
-            assert np.array_equal(_pad_half(v, new, M), ix_pad_half(v, old))
+            assert np.array_equal(pad_half(v, new, M), ix_pad_half(v, old))
             f = np.fft.rfftn(rng.standard_normal((M,) * n))
-            expected = ix_truncate_half(f, N)  # _truncate_half scales f
+            expected = ix_truncate_half(f, N)  # truncate_half scales f
             assert np.array_equal(
-                _truncate_half(f, np.empty(half(N), dtype=complex), M),
+                truncate_half(f, np.empty(half(N), dtype=complex), M),
                 expected)
 
     def test_rejects_complex_data(self):
@@ -410,8 +433,9 @@ class TestStreaming:
 
     def test_memory_does_not_grow_with_stores(self):
         """Storing every step or none stays within the solver's working
-        set, counted from the grid, plus a margin of two fields: a
-        snapshot kept alive across a step (two fields) breaks it."""
+        set, counted from the grid, plus a margin of one field: a
+        snapshot kept alive across a step (two fields) or one more half
+        spectrum of the whole lattice (about one field) breaks it."""
         n, N = 3, 32
         grid = make_grid(n, 8.0, N)
         params = replace(P_SMALL, n=3, p=Fraction(3))
@@ -428,7 +452,40 @@ class TestStreaming:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < working + 2 * field, (store_every, peak, working)
+            assert peak < working + field, (store_every, peak, working)
+
+    @pytest.mark.parametrize("nonlinearity,taus", [("abs_u_p", [0.05, 0.1]),
+                                                   ("abs_ut_p", [0.05, 0.1]),
+                                                   ("none", [0.1])])
+    def test_one_kernel_evaluation_per_step_size(self, monkeypatch,
+                                                 nonlinearity, taus):
+        # The derivative tables come from the same K0hat, K1hat arrays;
+        # the states keep the bits of the oracle, which calls
+        # kernel_dt_values.  A linear solve builds no half-step tables.
+        n = 2
+        L, N, amplitude = REFERENCE_CASES[n]
+        grid = make_grid(n, L, N)
+        params = replace(P_SMALL, n=n, p=Fraction(3))
+        snap = Snapshot(0.0, gaussian_field(grid, amplitude, 1.5),
+                        gaussian_field(grid, 0.5 * amplitude, 2.0))
+        ref = whole_lattice_semilinear_solve(snap, params, nonlinearity,
+                                             t_end=1.0, dt=0.1, store_every=5)
+        calls = []
+
+        def counting(t, rho, p):
+            calls.append(t)
+            return kernel_values(t, rho, p)
+        monkeypatch.setattr(spectral, "kernel_values", counting)
+        monkeypatch.setattr(dispersion, "kernel_values", counting)
+        new = list(semilinear_solve(snap, params, nonlinearity, t_end=1.0,
+                                    dt=0.1, store_every=5))
+        assert sorted(calls) == taus
+        for a, b in zip(new, ref, strict=True):
+            assert np.array_equal(a.u.values, b.u.values)
+            assert np.array_equal(a.ut.values, b.ut.values)
+        calls.clear()
+        linear_evolve(snap, 0.5, params)
+        assert calls == [0.5]
 
     def test_data_are_taken_on_the_call(self):
         grid = make_grid(1, 20.0, 64)
