@@ -12,9 +12,10 @@ toolkit       partition/Bell tables and Duhamel integral/bound ratios
 Experiments are described by flat INI-style configs (sections of
 ``key = value`` pairs, exact rationals written ``a/b``) or by named
 built-in presets; identical config and seed produce byte-identical CSV.
-Exit codes: 0 success, 1 config error, 2 assertion failure (tolerance
-or gate violations; interval gates only under ``--strict``),
-3 numerical non-convergence.
+Exit codes: 0 success, 1 config error, 2 a failed check (always for
+decay-fit's fit and gevrey's ratio bound; only under ``--strict`` for
+admissible's gates, kernel-norm's and toolkit's tolerances and
+decay-fit's wrap-around; never for evolve), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import numpy as np
 from .admissibility import AdmissibleInterval, TheoremId, admissible_interval
 from .kernels import fit_power_law, kernel_lr_norm, theoretical_exponent
 from .params import ModelParams, as_fraction, validate
-from .spectral import (BlowUpError, Field, Snapshot, TorusGrid,
-                       gaussian_field, gevrey_energy, linear_evolve, lq_norm,
-                       make_grid, semilinear_solve, zero_field)
+from .spectral import (BlowUpError, Snapshot, TorusGrid, gaussian_field,
+                       gevrey_energy, linear_evolve, lq_norm, make_grid,
+                       semilinear_solve, zero_field)
 from .toolkit import duhamel_bound, duhamel_integral, faa_di_bruno_partitions
 
 __all__ = ["main"]
@@ -169,12 +170,21 @@ def _grid_from(section: dict[str, str], n: int, default_L: float,
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _gaussian_from(grid: TorusGrid, amplitude: float, width: float,
-                   where: str) -> Field:
+def _data_from(cfg: dict[str, dict[str, str]], n: int, where: str,
+               default_L: float, default_N: int, default_amplitude: float,
+               which: str = "u0") -> Snapshot:
+    """Data at t = 0 on the torus of [grid]: the Gaussian of [data] as
+    u0 or as u1, the other zero, or zero data (which = "zero")."""
+    grid = _grid_from(cfg.get("grid", {}), n, default_L, default_N)
+    sec = cfg.get("data", {})
     try:
-        return gaussian_field(grid, amplitude=amplitude, width=width)
+        bump = gaussian_field(grid, _get(sec, "amplitude", float, default_amplitude),
+                              _get(sec, "width", float, 1.0))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    zero = zero_field(grid)
+    u, ut = {"u0": (bump, zero), "u1": (zero, bump), "zero": (zero, zero)}[which]
+    return Snapshot(t=0.0, u=u, ut=ut)
 
 
 def _check_fit_window(where: str, t_min: float, t_max: float,
@@ -338,42 +348,34 @@ def cmd_decay_fit(cfg, out_dir, strict, tol) -> int:
         "fit": ("tol",),
     })
     params = _model_from(cfg)
-    grid_sec, time_sec = cfg.get("grid", {}), cfg.get("time", {})
-    data_sec, fit_sec = cfg.get("data", {}), cfg.get("fit", {})
-    grid = _grid_from(grid_sec, params.n, 400.0, 2 ** 15)
+    time_sec, fit_sec = cfg.get("time", {}), cfg.get("fit", {})
     t_min = _get(time_sec, "t_min", float, 10.0)
     t_max = _get(time_sec, "t_max", float, 500.0)
     points = _get(time_sec, "points", int, 9)
     _check_fit_window("decay-fit", t_min, t_max, points)
-    amplitude = _get(data_sec, "amplitude", float, 1.0)
-    width = _get(data_sec, "width", float, 1.0)
-    which = _get(data_sec, "which", str, "u0")
+    which = _get(cfg.get("data", {}), "which", str, "u0")
     tolerance = tol if tol is not None else _get(fit_sec, "tol", float, 0.10)
     if which not in ("u0", "u1", "zero"):
         raise ConfigError("data which must be u0, u1 or zero")
-
-    bump = _gaussian_from(grid, amplitude, width, "decay-fit")
-    zero = zero_field(grid)
-    if which == "zero":
-        data = Snapshot(t=0.0, u=zero, ut=zero)
-    elif which == "u0":
-        data = Snapshot(t=0.0, u=bump, ut=zero)
-    else:
-        data = Snapshot(t=0.0, u=zero, ut=bump)
+    data = _data_from(cfg, params.n, "decay-fit", 400.0, 2 ** 15, 1.0, which)
 
     times = np.geomspace(t_min, t_max, points)
     samples, wrapped = [], 0
     for t in times:
-        snap = linear_evolve(data, float(t), params)
+        try:
+            snap = linear_evolve(data, float(t), params)
+        except BlowUpError:
+            print(f"decay-fit: the L^2 norm at t = {t:.12g} overflows "
+                  "(the data are too large)", file=sys.stderr)
+            return EXIT_NONCONV
         samples.append((float(t), lq_norm(snap.u, 2.0)))
         wrapped += _edge_fraction(snap) > _WRAP_THRESHOLD
 
     rows = []
     if max(v for _, v in samples) == 0.0:
-        row = {"observable": "norm_L2_u", **_params_cells(params),
-               "fitted": "", "theoretical": "", "rel_err": "",
-               "wrapped": wrapped, "status": "skipped"}
-        rows.append(row)
+        rows.append({"observable": "norm_L2_u", **_params_cells(params),
+                     "fitted": "", "theoretical": "", "rel_err": "",
+                     "wrapped": wrapped, "status": "skipped"})
         ok = True
     else:
         fit = fit_power_law(samples, (t_min, t_max))
@@ -494,14 +496,11 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
         "evolve": ("nonlinearity", "q_list", "ceiling"),
     })
     params = _model_from(cfg)
-    grid_sec, time_sec = cfg.get("grid", {}), cfg.get("time", {})
-    data_sec, ev_sec = cfg.get("data", {}), cfg.get("evolve", {})
-    grid = _grid_from(grid_sec, params.n, 100.0, 1024)
+    time_sec, ev_sec = cfg.get("time", {}), cfg.get("evolve", {})
+    data = _data_from(cfg, params.n, "evolve", 100.0, 1024, 1e-3)
     t_end = _get(time_sec, "t_end", float, 200.0)
     dt = _get(time_sec, "dt", float, 0.1)
     store_every = _get(time_sec, "store_every", int, 10)
-    amplitude = _get(data_sec, "amplitude", float, 1e-3)
-    width = _get(data_sec, "width", float, 1.0)
     nonlinearity = _get(ev_sec, "nonlinearity", str, "none")
     q_list = _get(ev_sec, "q_list",
                   lambda text: [float(Fraction(q)) for q in text.split(",")],
@@ -515,8 +514,6 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
     if not ceiling > 0:
         raise ConfigError(f"evolve: ceiling = {ceiling:g} must be positive")
 
-    data = Snapshot(t=0.0, u=_gaussian_from(grid, amplitude, width, "evolve"),
-                    ut=zero_field(grid))
     rows = []
     try:
         solve = semilinear_solve(data, params, nonlinearity, t_end, dt,
@@ -546,9 +543,8 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
         "gevrey": ("c", "t_max", "points", "ratio_bound"),
     })
     params = _model_from(cfg)
-    grid_sec, data_sec = cfg.get("grid", {}), cfg.get("data", {})
     gv = cfg.get("gevrey", {})
-    grid = _grid_from(grid_sec, params.n, 100.0, 2048)
+    data = _data_from(cfg, params.n, "gevrey", 100.0, 2048, 1.0)
     c = _get(gv, "c", float, 0.2)
     t_max = _get(gv, "t_max", float, 10.0)
     points = _get(gv, "points", int, 21)
@@ -560,20 +556,21 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
         raise ConfigError(f"gevrey: c = {c:g} must be positive")
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ConfigError(f"gevrey: t_max = {t_max:g} must be finite and >= 0")
-    data = Snapshot(t=0.0,
-                    u=_gaussian_from(grid,
-                                     _get(data_sec, "amplitude", float, 1.0),
-                                     _get(data_sec, "width", float, 1.0),
-                                     "gevrey"),
-                    ut=zero_field(grid))
     base = gevrey_energy(data, c, params)
     rows, violations = [], 0
     for t in np.linspace(0.0, t_max, points):
-        snap = linear_evolve(data, float(t), params)
+        try:
+            snap = linear_evolve(data, float(t), params)
+        except BlowUpError:
+            print(f"gevrey: the L^2 norm at t = {t:.12g} overflows "
+                  "(the data are too large)", file=sys.stderr)
+            return EXIT_NONCONV
         energy = gevrey_energy(snap, c, params)
-        if not math.isfinite(energy):
-            print(f"gevrey: the energy at t = {t:.12g} is {energy!r}, not finite "
-                  "(the weight exp(2 c rho^(2 delta) t) overflows)", file=sys.stderr)
+        if not math.isfinite(energy):  # at t = 0 that of the data
+            cause = ("the data are too large" if t == 0 else
+                     "the weight exp(2 c rho^(2 delta) t) overflows")
+            print(f"gevrey: the energy at t = {t:.12g} is {energy!r}, not "
+                  f"finite ({cause})", file=sys.stderr)
             return EXIT_NONCONV
         ratio = energy / base if base > 0 else 0.0
         ok = ratio <= ratio_bound
@@ -733,7 +730,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         cp.add_argument("--preset", help="built-in experiment name")
         cp.add_argument("--out", default="out", help="output directory")
         cp.add_argument("--strict", action="store_true",
-                        help="treat assertion failures as errors (exit 2)")
+                        help="exit 2 also on the checks that otherwise only "
+                             "report (see the README's exit-code table)")
         cp.add_argument("--tol", type=float, default=None,
                         help="override fit tolerance")
     args = parser.parse_args(argv)

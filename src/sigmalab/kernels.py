@@ -628,34 +628,61 @@ def _trapezoid(f: np.ndarray, dy: float) -> float:
     return float(f[:-1].sum())
 
 
+#: Gauss-Legendre panels of the Parseval integral taken in one block.
+_PARSEVAL_BLOCK = 4096
+
+
+def _parseval_norm(raw: Callable[[np.ndarray], np.ndarray], scale: float,
+                   t: float, params: ModelParams, n: int) -> float:
+    """L^2(R^n) norm of F^{-1} raw by Parseval: the integral of raw^2
+    rho^{n-1} over 16-point Gauss-Legendre panels.  They break at 1/2, 1
+    (the cutoff's transition band) and the coalescence radius, are spaced
+    eight an octave from 1e-9 min(scale, 1) up to where raw(scale eta)
+    has decayed (_find_truncation), and are split so that t (d + omega)
+    gains at most pi across each: the kernels' damping d = mu rho^{2 delta}
+    / 2 and frequency omega = (rho^{2 sigma} - d^2)^{1/2}, 0 below rho_*.
+    """
+    eta_max, peak = _find_truncation(lambda eta: raw(scale * eta))
+    if peak == 0.0:
+        return 0.0
+    low, top = 1e-9 * min(scale, 1.0), scale * eta_max
+    breaks = [b for b in (0.5, 1.0, coalescence_radius(params)) if low < b < top]
+    octaves = np.geomspace(low, top, int(np.ceil(8 * np.log2(top / low))) + 1)
+    edges = np.concatenate(([0.0], np.union1d(octaves, breaks)))
+    damping = params.mu_f / 2.0 * edges ** (2.0 * params.delta_f)
+    omega = np.sqrt(np.maximum(edges ** (2.0 * params.sigma_f) - damping ** 2, 0.0))
+    pieces = np.maximum(np.ceil(t * np.diff(damping + omega) / np.pi), 1).astype(int)
+    edges = np.concatenate([np.linspace(lo, hi, m, endpoint=False) for lo, hi, m
+                            in zip(edges[:-1], edges[1:], pieces)] + [edges[-1:]])
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    integral = 0.0
+    for s in range(0, len(mid), _PARSEVAL_BLOCK):
+        h = half[s:s + _PARSEVAL_BLOCK]
+        rho = mid[s:s + _PARSEVAL_BLOCK, None] + h[:, None] * nodes
+        integral += float(raw(rho) ** 2 * rho ** (n - 1) @ weights @ h)
+    return float(np.sqrt((2.0 * np.pi) ** (-n) * _SPHERE_AREA[n] * integral))
+
+
 def kernel_lr_norm(which: str, a: float, t: float, r: float,
                    params: ModelParams, n: int,
                    band: str = "full") -> float:
     """L^r(R^n) norm of F^{-1}(|xi|^a Khat_i(t, .) band(|xi|)), n = 1, 2
     or 3.
 
-    r = 2 uses Parseval on the multiplier directly; r = inf is the max
-    of the radial profile; other r integrate the profile.  The
-    self-similar dilation contributes the factor scale^{n(1-1/r)}.
-    Raises ValueError unless t > 0 and r >= 1.
+    r = 2 uses Parseval on the multiplier directly (_parseval_norm);
+    r = inf is the max of the radial profile; other r integrate the
+    profile, where the self-similar dilation contributes the factor
+    scale^{n(1-1/r)}.  Raises ValueError unless t > 0 and r >= 1.
     """
     _check_dimension(n)
     if r < 1:
         raise ValueError("r must be in [1, inf]")
     if not t > 0:
         raise ValueError("t must be positive")
-    scale = _natural_scale(t, band, params)
     if r == 2.0:
-        g, eta_max, hint = _scaled_window(
-            _kernel_multiplier(which, a, t, band, params), scale, t, params)
-        if eta_max is None:
-            return 0.0
-        step = min(np.pi / (8.0 * (hint + 1.0)), eta_max / 4096.0)
-        eta = np.arange(0.0, eta_max, step)
-        dens = np.asarray(g(eta), dtype=float) ** 2 * eta ** (n - 1)
-        integral = scale ** n * np.trapezoid(dens, eta)
-        norm_sq = (2.0 * np.pi) ** (-n) * _SPHERE_AREA[n] * integral
-        return float(np.sqrt(norm_sq))
+        return _parseval_norm(_kernel_multiplier(which, a, t, band, params),
+                              _natural_scale(t, band, params), t, params, n)
     prof = kernel_profile(which, a, t, band, params, n)
     scale = prof.scale
     vals = prof.values

@@ -8,9 +8,10 @@ with an exponential Duhamel (variation-of-constants) integrator: the
 linear part is propagated exactly over each step and the nonlinearity
 enters through midpoint quadrature of the Duhamel integral with the
 exact kernel as weight.  Observed orders are about 2 for f = |u|^p and
-1 for f = |u_t|^p.  Fields hold real physical values; the linear flow,
-the stepper and the Gevrey energy work on their rfftn half spectra,
-with the multipliers on the distinct rows of |xi| (TorusGrid.rho_rows).
+1 for f = |u_t|^p; the linear flow is one exact step of the linear
+solve.  Fields hold real physical values; the stepper and the Gevrey
+energy work on their rfftn half spectra, with the multipliers on the
+distinct rows of |xi| (TorusGrid.rho_rows).
 
 The torus is a desk-scale stand-in for R^n: decay measurements are only
 meaningful while the solution remains well inside the box and the
@@ -110,12 +111,13 @@ class Snapshot:
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a monitored norm exceeds its ceiling during stepping."""
+    """Raised when the monitored L^2 norm exceeds its ceiling (or is not
+    finite) during stepping."""
 
-    def __init__(self, t: float, q: float, norm: float, ceiling: float):
-        self.t, self.q, self.norm, self.ceiling = t, q, norm, ceiling
+    def __init__(self, t: float, norm: float, ceiling: float):
+        self.t, self.norm, self.ceiling = t, norm, ceiling
         super().__init__(
-            f"L^{q} norm {norm:.3e} exceeded ceiling {ceiling:.3e} at t = {t:.6g}")
+            f"L^2 norm {norm:.3e} exceeded ceiling {ceiling:.3e} at t = {t:.6g}")
 
 
 def make_grid(n: int, L: float, N: int) -> TorusGrid:
@@ -148,21 +150,17 @@ def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
 
 
 def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
-    """Exact linear flow over a time t >= 0: v = K0hat v0 + K1hat v1 and
-    v_t = dK0hat v0 + dK1hat v1 on the rfftn half spectra of the data,
-    returned as real physical Fields at data.t + t; t = 0 returns data.
+    """Exact linear flow over a time t >= 0: the last state of the
+    one-step linear solve semilinear_solve(data, params, "none", t, t)
+    with no norm ceiling, so a non-finite L^2 norm still raises
+    BlowUpError; t = 0 returns data.
     """
     if t == 0:
         return data
-    grid, rho = data.u.grid, data.u.grid.rho_rows
-    k0, k1 = kernels = kernel_values(t, rho, params)
-    dk0, dk1 = kernel_dt_values(t, rho, params, kernels)
-    v0, v1 = np.fft.rfftn(data.u.values), np.fft.rfftn(data.ut.values)
-    v, vt, prod = (np.empty_like(v0) for _ in range(3))
-    _apply(grid, prod, v, (k0, v0), (k1, v1))
-    _apply(grid, prod, vt, (dk0, v0), (dk1, v1))
-    return Snapshot(data.t + t, Field(grid, np.fft.irfftn(v)),
-                    Field(grid, np.fft.irfftn(vt)))
+    for last in semilinear_solve(data, params, "none", t, t,
+                                 norm_ceiling=np.inf):
+        pass
+    return last
 
 
 #: Samples per row block in which semilinear_solve takes |u|^p; its
@@ -170,53 +168,24 @@ def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
 _BLOCK_SAMPLES = 2 ** 15
 
 
-def _blocks(n: int, N: int, upper: slice):
-    """(coarse, other) index pairs, one per combination of the halves
-    [:h], [h:] of the leading axes (h = N/2), which pair with [:h] and
-    `upper` of the other array; the last axis is [:h + 1] in both."""
-    h = N // 2
-    halves = ((slice(0, h), slice(0, h)), (slice(h, N), upper))
-    for combo in itertools.product(halves, repeat=n - 1):
-        yield (tuple(c for c, _ in combo) + (slice(0, h + 1),),
-               tuple(f for _, f in combo) + (slice(0, h + 1),))
-
-
-def _apply(grid: TorusGrid, prod: np.ndarray, out: np.ndarray,
-           *terms) -> None:
-    """out = sum of k x over terms, block by block of _chunks: each k is
-    held on rho_rows, each x and out on the half lattice; prod is scratch
-    of out's shape."""
-    for coarse, _, rows in _chunks(grid.n, grid.N, grid.N, grid.N):
-        part = out[coarse]
-        for i, (k, x) in enumerate(terms):
-            if i:
-                np.add(part, np.multiply(k[rows], x[coarse],
-                                         out=prod[coarse]), out=part)
-            else:
-                np.multiply(k[rows], x[coarse], out=part)
-
-
 def _chunks(n: int, N: int, M: int, rows: int):
-    """(half lattice, padded lines, rho_rows) index triples, block by
-    block of _blocks in chunks of at most `rows` leading-axis rows: rows
-    [h, N) of a leading axis (h = N/2) sit at [M - h, M) of the M^n half
-    lattice and read rows h .. 1 of rho_rows; n = 1 is one chunk."""
-    h = N // 2
-    for (coarse, fine), (_, krows) in zip(_blocks(n, N, slice(M - h, M)),
-                                          _blocks(n, N, slice(h, 0, -1))):
-        if n == 1:
-            yield coarse, fine, krows
-            continue
-        for a in range(0, h, rows):
-            b = min(a + rows, h)
-            yield tuple(_narrow(index, a, b) for index in (coarse, fine, krows))
+    """(half lattice, padded lines, rho_rows) index triples in chunks of
+    at most `rows` rows of the first axis.  Rows [0, h) of a leading axis
+    (h = N/2) sit at [0, h) of the M^n lines and read rows 0 .. h - 1 of
+    rho_rows; rows [h, N) sit at [M - h, M) and read rows h .. 1.  The
+    last axis is [:h + 1]; n = 1 is one chunk."""
+    h, last = N // 2, (slice(0, N // 2 + 1),) * 3
+    halves = ((0, 0, 0, 1), (h, M - h, h, -1))  # starts; rho_rows step
 
+    def cut(v, line, k, step, a, b):  # rows [a, b) of a half
+        return (slice(v + a, v + b), slice(line + a, line + b),
+                slice(k + step * a, k + step * b, step))
 
-def _narrow(index: tuple, a: int, b: int) -> tuple:
-    """index with its leading slice cut to the positions [a, b) of it."""
-    lead, step = index[0], index[0].step or 1
-    return (slice(lead.start + a * step, lead.start + b * step, lead.step),
-            *index[1:])
+    for combo in itertools.product(halves, repeat=n - 1):
+        for a in range(0, h if n > 1 else 1, rows):
+            cuts = ([cut(*half, a, min(a + rows, h)) for half in combo[:1]]
+                    + [cut(*half, 0, h) for half in combo[1:]])
+            yield tuple(zip(*cuts, last))
 
 
 def _pad_half(out: np.ndarray, N: int) -> np.ndarray:
@@ -262,10 +231,12 @@ def _irfftn(v: np.ndarray, N: int, work: np.ndarray) -> np.ndarray:
 def _parseval_l2(v: np.ndarray, grid: TorusGrid, power: np.ndarray,
                  scratch: np.ndarray) -> float:
     """Lattice L^2 norm by Parseval; interior last-axis bins count twice.
-    |v|^2 is formed in power and scratch, real arrays of v's shape."""
-    np.multiply(v.real, v.real, out=power)
-    power += np.multiply(v.imag, v.imag, out=scratch)
-    energy = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
+    |v|^2 is formed in power and scratch, real arrays of v's shape.  A
+    spectrum too large to square gives inf or nan, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(v.real, v.real, out=power)
+        power += np.multiply(v.imag, v.imag, out=scratch)
+        energy = 2.0 * power.sum() - power[..., 0].sum() - power[..., -1].sum()
     return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
 
 
@@ -277,7 +248,6 @@ def semilinear_solve(
     dt: float,
     store_every: int = 1,
     norm_ceiling: float = 1e6,
-    ceiling_q: float = 2.0,
 ) -> Iterator[Snapshot]:
     """Exponential Duhamel stepping of u_tt + (-Lap)^sigma u
     + mu (-Lap)^delta u_t = f: |u|^p ("abs_u_p"), |u_t|^p ("abs_ut_p")
@@ -287,7 +257,8 @@ def semilinear_solve(
     which returns a generator: it steps as it is iterated, yields the data,
     every store_every-th state and the last as Snapshots of real
     physical Fields, keeps none of them, and raises BlowUpError when the
-    L^q norm (q = 2 by Parseval) exceeds norm_ceiling.
+    lattice L^2 norm, taken by Parseval on the half spectrum, exceeds
+    norm_ceiling or is not finite.
 
     Each step propagates (u, u_t), as rfftn half spectra, with the exact
     linear kernels and takes the Duhamel integral by the midpoint rule
@@ -310,11 +281,12 @@ def semilinear_solve(
     its two half spectra, stepped in place a chunk of about 2^12 samples
     of leading rows at a time (every multiplier is diagonal).  The
     padded transforms are pruned to the N/2 + 1 last-axis columns that
-    can be nonzero or are kept, and |u|^p is taken in row blocks of about
-    2^15 samples (irfft, abs, power, rfft), so no whole padded field is
-    held; between steps those columns hold the L^2 monitor and the
-    leading-axis inverse transforms of a stored state.  For n = 1 and 2
-    the states equal those of whole-lattice transforms bit for bit.
+    can be nonzero or are kept, and a nonlinear solve takes |u|^p in row
+    blocks of about 2^15 samples (irfft, abs, power, rfft), so no whole
+    padded field is held; between steps those columns hold the L^2
+    monitor and the leading-axis inverse transforms of a stored state.
+    For n = 1 and 2 the states equal those of whole-lattice transforms
+    bit for bit.
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
         raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
@@ -333,12 +305,12 @@ def semilinear_solve(
     first = Snapshot(data.t, *(Field(f.grid, f.values.copy())
                                for f in (data.u, data.ut)))
     return _stepping(first, params, nonlinearity, steps, dt, store_every,
-                     norm_ceiling, ceiling_q)
+                     norm_ceiling)
 
 
 def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
-              steps: int, dt: float, store_every: int, norm_ceiling: float,
-              ceiling_q: float) -> Iterator[Snapshot]:
+              steps: int, dt: float, store_every: int,
+              norm_ceiling: float) -> Iterator[Snapshot]:
     """The generator that semilinear_solve returns."""
     grid, t0 = first.u.grid, first.t
     n, N, h = grid.n, grid.N, grid.N // 2
@@ -368,15 +340,16 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
     # when de-aliasing) product lattice: the spectrum of the predicted
     # midpoint, then that of f, transformed in place along the leading
     # axes in irfftn's axis order (rfftn's when forward); `phys`,
-    # `power`, `spec` hold a block of rows.  The diagonal passes step v
-    # and vt in place, a chunk of leading rows at a time, through
-    # `scratch`.
+    # `power`, `spec` hold a block of rows of a nonlinear solve.  The
+    # diagonal passes step v and vt in place, a chunk of leading rows at
+    # a time, through `scratch`.
     M = 3 * N // 2 if dealias else N
     lines = np.zeros((M,) * (n - 1) + (h + 1,), dtype=complex)
-    line_rows = lines.reshape(-1, h + 1)
-    block = max(1, _BLOCK_SAMPLES // M)
-    phys, power = np.empty((block, M)), np.empty((block, M))
-    spec = np.empty((block, M // 2 + 1), dtype=complex)
+    if nonlinear:
+        line_rows = lines.reshape(-1, h + 1)
+        block = max(1, _BLOCK_SAMPLES // M)
+        phys, power = np.empty((block, M)), np.empty((block, M))
+        spec = np.empty((block, M // 2 + 1), dtype=complex)
     chunk_rows = max(1, _BLOCK_SAMPLES // 8 // ((h + 1) * h ** max(n - 2, 0)))
     chunks = list(_chunks(n, N, M, chunk_rows))
     scratch = np.empty((2, *v[chunks[0][0]].shape), dtype=complex)
@@ -425,16 +398,12 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
                 np.add(x, np.multiply(weight_u[k], f, out=prod), out=x)
                 np.add(xt, np.multiply(weight_ut[k], f, out=prod), out=xt)
         t = t0 + step * dt
-
-        store = step % store_every == 0 or step == steps
-        u = _irfftn(v, N, work) if store or ceiling_q != 2 else None
-        norm = (_parseval_l2(v, grid, *monitor) if ceiling_q == 2
-                else lq_norm(Field(grid, u), ceiling_q))
+        norm = _parseval_l2(v, grid, *monitor)
         if not np.isfinite(norm) or norm > norm_ceiling:
-            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
-                              ceiling=norm_ceiling)
-        if store:
-            yield Snapshot(t, Field(grid, u), Field(grid, _irfftn(vt, N, work)))
+            raise BlowUpError(t=t, norm=norm, ceiling=norm_ceiling)
+        if step % store_every == 0 or step == steps:
+            yield Snapshot(t, Field(grid, _irfftn(v, N, work)),
+                           Field(grid, _irfftn(vt, N, work)))
 
 
 def lq_norm(field: Field, q: float) -> float:
@@ -460,19 +429,24 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
     bounded when c is below the high-band envelope rate mu/2.  The sum
     runs over the rfftn half spectra, interior last-axis bins counted
     twice for their mirror modes, with the weight held on rho_rows.
-    Where the weight overflows (large c t) it is inf or nan, unwarned.
+    Where the weight or the data's spectrum overflows it is inf or nan,
+    unwarned.
     """
     if not c > 0:
         raise ValueError("c must be positive")
     grid, rho = snapshot.u.grid, snapshot.u.grid.rho_rows
-    power_v, power_vt = (np.abs(np.fft.rfftn(f.values)) ** 2
-                         for f in (snapshot.u, snapshot.ut))
-    dens, prod = np.empty(power_v.shape), np.empty(power_v.shape)
     with np.errstate(over="ignore", invalid="ignore"):
+        power_v, power_vt = (np.abs(np.fft.rfftn(f.values)) ** 2
+                             for f in (snapshot.u, snapshot.ut))
         weight = (np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
                   * (1.0 - np.asarray(cutoff_chi(rho))))
-        _apply(grid, prod, dens, (weight, power_vt),
-               (weight * rho ** (2.0 * params.sigma_f), power_v))
+        weight_v = weight * rho ** (2.0 * params.sigma_f)
+        dens, prod = np.empty(power_v.shape), np.empty(power_v.shape)
+        for coarse, _, rows in _chunks(grid.n, grid.N, grid.N, grid.N):
+            part = dens[coarse]
+            np.multiply(weight[rows], power_vt[coarse], out=part)
+            np.add(part, np.multiply(weight_v[rows], power_v[coarse],
+                                     out=prod[coarse]), out=part)
         energy = 2.0 * dens.sum() - dens[..., 0].sum() - dens[..., -1].sum()
     return float(grid.dx ** grid.n / grid.N ** grid.n * energy)
 

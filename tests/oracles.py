@@ -16,8 +16,8 @@
   the complex exponential Duhamel stepper on full complex fftn spectra
   (Spectra), the format the package used before it kept real fields on
   rfftn half spectra only;
-- stepper_working_set: the bytes a de-aliased streaming solve holds,
-  counted from the grid, the budget of the memory tests.
+- stepper_working_set: the bytes a streaming solve holds, de-aliased
+  or linear, counted from the grid, the budget of the memory tests.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from sigmalab.dispersion import (coalescence_radius, cutoff_chi,
                                  kernel_dt_values, kernel_values)
 from sigmalab.kernels import _find_truncation, bessel_tilde
 from sigmalab import spectral
-from sigmalab.spectral import BlowUpError, Field, Snapshot, TorusGrid, lq_norm
+from sigmalab.spectral import BlowUpError, Field, Snapshot, TorusGrid
 
 
 @dataclass(frozen=True)
@@ -204,19 +204,21 @@ def _parseval_l2(v, grid):
     return float(np.sqrt(grid.dx ** grid.n * energy / grid.N ** grid.n))
 
 
-def stepper_working_set(grid):
-    """Bytes that semilinear_solve holds between yields for an integer p:
-    eight real kernel tables on rho_rows, the half spectra v and vt, the
-    two chunk scratch arrays of the in-place diagonal passes, the
+def stepper_working_set(grid, nonlinear=True):
+    """Bytes that semilinear_solve holds between yields.  For an integer
+    p: eight real kernel tables on rho_rows, the half spectra v and vt,
+    the two chunk scratch arrays of the in-place diagonal passes, the
     3/2-padded columns (which also hold the monitor and the inverse
-    transforms of a stored state) and the row blocks."""
+    transforms of a stored state) and the row blocks of |u|^p.  For
+    "none" (nonlinear=False): four tables, v, vt, the chunk scratch and
+    unpadded columns, and no row blocks."""
     n, N = grid.n, grid.N
-    h, M = N // 2, 3 * N // 2
-    rows = spectral._BLOCK_SAMPLES // M
+    h, M = N // 2, 3 * N // 2 if nonlinear else N
+    rows = spectral._BLOCK_SAMPLES // M if nonlinear else 0
     per_row = (h + 1) * h ** max(n - 2, 0)
     chunk = per_row * (min(h, spectral._BLOCK_SAMPLES // 8 // per_row)
                        if n > 1 else 1)
-    return (8 * grid.rho_rows.size * 8
+    return ((8 if nonlinear else 4) * grid.rho_rows.size * 8
             + 2 * N ** (n - 1) * (h + 1) * 16
             + 2 * chunk * 16
             + M ** (n - 1) * (h + 1) * 16
@@ -224,8 +226,7 @@ def stepper_working_set(grid):
 
 
 def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,
-                                   store_every=1, norm_ceiling=1e6,
-                                   ceiling_q=2.0):
+                                   store_every=1, norm_ceiling=1e6):
     """The stored snapshots of the exponential Duhamel solve, as a tuple.
 
     Same step as sigmalab.spectral.semilinear_solve, with the kernels on
@@ -280,16 +281,12 @@ def whole_lattice_semilinear_solve(data, params, nonlinearity, t_end, dt,
         v, v_new, vt, vt_new = v_new, v, vt_new, vt
         t = data.t + step * dt
 
-        store = step % store_every == 0 or step == steps
-        u = _irfft(v, grid.N) if store or ceiling_q != 2 else None
-        norm = (_parseval_l2(v, grid) if ceiling_q == 2
-                else lq_norm(Field(grid, u), ceiling_q))
+        norm = _parseval_l2(v, grid)
         if not np.isfinite(norm) or norm > norm_ceiling:
-            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
-                              ceiling=norm_ceiling)
-        if store:
-            ut = Field(grid, _irfft(vt, grid.N))
-            snapshots.append(Snapshot(t, Field(grid, u), ut))
+            raise BlowUpError(t=t, norm=norm, ceiling=norm_ceiling)
+        if step % store_every == 0 or step == steps:
+            snapshots.append(Snapshot(t, Field(grid, _irfft(v, grid.N)),
+                                      Field(grid, _irfft(vt, grid.N))))
     return tuple(snapshots)
 
 
@@ -348,13 +345,10 @@ def full_spectrum_gevrey_energy(state, c, params):
     return float(norm_factor * np.sum(weight * band * dens))
 
 
-def _full_lq_norm(v, grid, q):
-    """Lattice L^q norm of ifftn(v)."""
-    u = np.fft.ifftn(v)
-    if np.isinf(q):
-        return float(np.max(np.abs(u)))
-    dxn = grid.dx ** grid.n
-    return float((dxn * np.sum(np.abs(u) ** q)) ** (1.0 / q))
+def _full_l2_norm(v, grid):
+    """Lattice L^2 norm of ifftn(v)."""
+    power = np.abs(np.fft.ifftn(v)) ** 2
+    return float((grid.dx ** grid.n * np.sum(power)) ** 0.5)
 
 
 def pad_spectrum(v, factor=1.5):
@@ -383,11 +377,10 @@ def _nonlinearity_spectrum(v, p, dealias):
 
 
 def full_spectrum_semilinear_solve(data, params, nonlinearity, t_end, dt,
-                                   store_every=1, norm_ceiling=1e6,
-                                   ceiling_q=2.0):
+                                   store_every=1, norm_ceiling=1e6):
     """The complex full-spectrum stepper that the real one replaced: it
     pads with fftshift + np.pad, carries complex fftn spectra, monitors
-    the norm with an inverse FFT per step and returns the stored states
+    the L^2 norm with an inverse FFT per step and returns the stored states
     as a tuple of Spectra."""
     grid = data.u.grid
     rho = full_lattice_rho(grid)
@@ -413,10 +406,9 @@ def full_spectrum_semilinear_solve(data, params, nonlinearity, t_end, dt,
             vt_new = dk0_f * v + dk1_f * vt + dt * dk1_h * f_mid
             v, vt = v_new, vt_new
         t = data.t + step * dt
-        norm = _full_lq_norm(v, grid, ceiling_q)
+        norm = _full_l2_norm(v, grid)
         if not np.isfinite(norm) or norm > norm_ceiling:
-            raise BlowUpError(t=t, q=ceiling_q, norm=float(norm),
-                              ceiling=norm_ceiling)
+            raise BlowUpError(t=t, norm=norm, ceiling=norm_ceiling)
         if step % store_every == 0 or step == steps:
             snapshots.append(Spectra(grid, t, v.copy(), vt.copy()))
     return tuple(snapshots)

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -660,6 +661,79 @@ class TestGevreyOverflow:
         assert "t = 500 " in err and "not finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "gevrey.csv").exists()
+
+
+_DECAY_FIT = (_MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
+              "[time]\nt_min = 1\nt_max = 5\n")
+
+#: Data too large to square, with the command that reads them and the
+#: message it stops with: the L^2 norm of the linear flow overflows, or
+#: at t = 0 the data's own Gevrey energy does.  Each command exits 3,
+#: writes no CSV and leaks no warning.
+OVERFLOW_CONFIGS = {
+    "decay-fit": ("decay-fit", "the L^2 norm at t = 1 overflows (the data "
+                  "are too large)", _DECAY_FIT + "[data]\namplitude = 1e300\n"),
+    "gevrey-energy": ("gevrey", "the energy at t = 0 is nan, not finite (the "
+                      "data are too large)", _GEVREY.format(points=5)
+                      + "[data]\namplitude = 1e300\n"),
+    # The squared spectrum stays finite mode by mode, its sum does not.
+    "gevrey-norm": ("gevrey", "the L^2 norm at t = 0.25 overflows (the data "
+                    "are too large)", _GEVREY.format(points=5)
+                    + "[data]\namplitude = 1.8e152\nwidth = 40\n"),
+}
+
+
+class TestOverflowingData:
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_CONFIGS))
+    def test_overflow_is_nonconvergence(self, tmp_path, capsys, name):
+        command, message, text = OVERFLOW_CONFIGS[name]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONV
+        assert f"{command}: {message}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
+#: Per command, a config with a failing check, extra arguments, and the
+#: exit code without and with --strict: the table in the README.
+EXIT_RULES = {
+    "admissible-gate": ("admissible", _MODEL_1D + "q = 2\nm = 1\n"
+                        "[admissible]\ntheorems = T2A\n", [], EXIT_OK, EXIT_ASSERT),
+    "decay-fit-tolerance": ("decay-fit", _DECAY_FIT + "[fit]\ntol = 0\n", [],
+                            EXIT_ASSERT, EXIT_ASSERT),
+    "decay-fit-wrap-around": ("decay-fit", _DECAY_FIT + "[data]\nwidth = 10\n"
+                              "[fit]\ntol = 1e9\n", [], EXIT_OK, EXIT_ASSERT),
+    "kernel-norm-tolerance": ("kernel-norm", _MODEL_1D + _SWEEP.format(
+        which="K1", band="low", points=5), ["--tol", "0"], EXIT_OK, EXIT_ASSERT),
+    "evolve": ("evolve", _EVOLVE.format(N=64, store_every=5), ["--tol", "0"],
+               EXIT_OK, EXIT_OK),
+    "gevrey-ratio-bound": ("gevrey", _GEVREY.format(points=5)
+                           + "ratio_bound = 1e-9\n", [], EXIT_ASSERT, EXIT_ASSERT),
+    "toolkit-spread": ("toolkit", "[toolkit]\nbell_max = 2\nalpha_max = 0\n"
+                       "duhamel_times = 10,100\nratio_bound = 0.5\n", [],
+                       EXIT_OK, EXIT_ASSERT),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", sorted(EXIT_RULES))
+    def test_failed_check_exit_code(self, tmp_path, name):
+        # The CSV reports the check either way; --strict may only turn
+        # exit 0 into exit 2.
+        command, text, args, plain, strict = EXIT_RULES[name]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        for flags, expected in (([], plain), (["--strict"], strict)):
+            out = tmp_path / ("strict" if flags else "plain")
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         *args, *flags]) == expected
+            assert len(list(out.iterdir())) >= 1
 
 
 class TestDeterminism:

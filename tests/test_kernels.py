@@ -133,6 +133,23 @@ class TestKernelNorms:
         direct = kernel_lr_norm("K1", 0.0, 2.0, 2.0, P_SMALL, 1, band="low")
         assert direct == pytest.approx(radial, rel=1e-4)
 
+    @pytest.mark.parametrize("which,band,n,t,norm", [
+        ("K1", "full", 1, 1.0, 0.46988265912203164),
+        ("K1", "full", 1, 5.0, 0.7526509031780892),
+        ("K1", "full", 1, 20.0, 1.0087694483092913),
+        ("K0", "high", 1, 0.05, 11.310221261005081),
+        ("K0", "high", 1, 0.3, 1.9036496738421376),
+        ("K0", "full", 2, 10.0, 0.04374278458124377)])
+    def test_parseval_norm_matches_adaptive_quadrature(self, which, band, n,
+                                                       t, norm):
+        # Reference: scipy.integrate.quad (epsrel 1e-13) of the Parseval
+        # integral of the same multiplier on intervals broken at 1/4 (the
+        # coalescence radius), 1/2, 1 and every 10 pi of the phase t omega.
+        # A trapezoid on a uniform grid was off by -0.35% to +3.9% here.
+        params = ModelParams.make(sigma=1, delta="1/4", mu=1, n=n)
+        assert kernel_lr_norm(which, 0.0, t, 2.0, params, n, band=band) == (
+            pytest.approx(norm, rel=1e-7, abs=0.0))
+
     def test_band_split_triangle_inequality(self):
         # chi_low + chi_high = 1, so |low| + |high| >= |full|, and the
         # band pieces do not cancel more than a factor 2 of mass.
