@@ -11,11 +11,14 @@ toolkit       partition/Bell tables and Duhamel integral/bound ratios
 
 Experiments are described by flat INI-style configs (sections of
 ``key = value`` pairs, exact rationals written ``a/b``) or by named
-built-in presets; identical config and seed produce byte-identical CSV.
-Exit codes: 0 success, 1 config error, 2 a failed check (always for
-decay-fit's fit and gevrey's ratio bound; only under ``--strict`` for
-admissible's gates, kernel-norm's and toolkit's tolerances and
-decay-fit's wrap-around; never for evolve), 3 numerical non-convergence.
+built-in presets, thresholds included; an identical config produces
+byte-identical CSV.  Every command takes ``--config``, ``--preset`` and
+``--out``; admissible, decay-fit, kernel-norm and toolkit also take
+``--strict``.  Exit codes: 0 success, 1 config or usage error, 2 a
+failed check (always for decay-fit's fit and gevrey's ratio bound; only
+under ``--strict`` for admissible's gates, kernel-norm's and toolkit's
+tolerances and decay-fit's wrap-around; never for evolve), 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -104,14 +107,9 @@ def _check_sections(cfg: dict[str, dict[str, str]],
     """Reject unknown sections and keys up front."""
     prefixes = prefixes or {}
     for section, entries in cfg.items():
-        keys = None
-        if section in allowed:
-            keys = allowed[section]
-        else:
-            for prefix, prefix_keys in prefixes.items():
-                if section.startswith(prefix + " "):
-                    keys = prefix_keys
-                    break
+        keys = allowed.get(section, next((
+            prefix_keys for prefix, prefix_keys in prefixes.items()
+            if section.startswith(prefix + " ")), None))
         if keys is None:
             raise ConfigError(f"unknown config section [{section}]")
         for key in entries:
@@ -158,6 +156,16 @@ def _get(section: dict[str, str], key: str, conv: Callable, default=None):
         return conv(section[key])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _nonnegative(section: dict[str, str], key: str, default: float,
+                 where: str) -> float:
+    """A float of `section` that must be finite and >= 0, such as a
+    tolerance or a bound."""
+    value = _get(section, key, float, default)
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{where}: {key} = {value:g} must be finite and >= 0")
+    return value
 
 
 def _grid_from(section: dict[str, str], n: int, default_L: float,
@@ -258,9 +266,11 @@ def _interval_text(interval: AdmissibleInterval) -> str:
 # ---------------------------------------------------------------------------
 
 def _admissible_cases(cfg):
-    """(label, theorem, params, section) of each case, as it is parsed."""
-    case_sections = [s for s in cfg if s.startswith("case ")]
-    for section in case_sections:
+    """(section, theorem, params) of each [case NAME], as it is parsed."""
+    sections = [s for s in cfg if s.startswith("case ")]
+    if not sections:
+        raise ConfigError("no [case NAME] sections configured")
+    for section in sections:
         entries = cfg[section]
         if "theorem" not in entries:
             raise ConfigError(f"section [{section}] needs a theorem key")
@@ -269,25 +279,11 @@ def _admissible_cases(cfg):
         except ValueError as exc:
             raise ConfigError(f"unknown theorem {entries['theorem']!r} "
                               f"in section [{section}]") from exc
-        yield section[5:], theorem, _params_from(cfg, entries, section), section
-    if case_sections:
-        return
-    names = [t.strip() for t in
-             cfg.get("admissible", {}).get("theorems", "").split(",")
-             if t.strip()]
-    if not names:
-        raise ConfigError("no theorems configured")
-    params = _params_from(cfg)
-    for name in names:
-        try:
-            theorem = TheoremId(name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown theorem {name!r}") from exc
-        yield name, theorem, params, "model"
+        yield section, theorem, _params_from(cfg, entries, section)
 
 
-def cmd_admissible(cfg, out_dir, strict, tol) -> int:
-    _check_sections(cfg, {"model": _MODEL_KEYS, "admissible": ("theorems",)},
+def cmd_admissible(cfg, out_dir, strict) -> int:
+    _check_sections(cfg, {"model": _MODEL_KEYS},
                     prefixes={"case": _MODEL_KEYS + ("theorem",)})
     fields = ["case", "theorem", *_MODEL_KEYS,
               "interval", "empty", "gate_failed", "empty_reason"]
@@ -297,7 +293,7 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
     csv_lines, writerow = _csv_lines(fields)
     json_lines = []
     gate_failures = 0
-    for label, theorem, params, section in _admissible_cases(cfg):
+    for section, theorem, params in _admissible_cases(cfg):
         try:
             interval = admissible_interval(theorem, params)
         except ValueError as exc:
@@ -305,7 +301,7 @@ def cmd_admissible(cfg, out_dir, strict, tol) -> int:
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed
-        cells = [label, theorem.value, *_params_cells(params).values(),
+        cells = [section[5:], theorem.value, *_params_cells(params).values(),
                  _interval_text(interval), str(int(interval.empty)),
                  str(int(gate_failed)), interval.empty_reason or ""]
         writerow(cells)
@@ -339,7 +335,7 @@ def _edge_fraction(snapshot: Snapshot) -> float:
     return float(np.max(np.abs(phys[shell])) / peak)
 
 
-def cmd_decay_fit(cfg, out_dir, strict, tol) -> int:
+def cmd_decay_fit(cfg, out_dir, strict) -> int:
     _check_sections(cfg, {
         "model": _MODEL_KEYS,
         "grid": ("L", "N"),
@@ -354,7 +350,7 @@ def cmd_decay_fit(cfg, out_dir, strict, tol) -> int:
     points = _get(time_sec, "points", int, 9)
     _check_fit_window("decay-fit", t_min, t_max, points)
     which = _get(cfg.get("data", {}), "which", str, "u0")
-    tolerance = tol if tol is not None else _get(fit_sec, "tol", float, 0.10)
+    tolerance = _nonnegative(fit_sec, "tol", 0.10, "decay-fit")
     if which not in ("u0", "u1", "zero"):
         raise ConfigError("data which must be u0, u1 or zero")
     data = _data_from(cfg, params.n, "decay-fit", 400.0, 2 ** 15, 1.0, which)
@@ -436,10 +432,11 @@ def _sweep_from(name: str, sec: dict[str, str]) -> tuple:
     return which, band, a, r, regime, t_min, t_max, points
 
 
-def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
+def cmd_kernel_norm(cfg, out_dir, strict) -> int:
     sweep_keys = ("which", "a", "band", "r", "regime",
                   "t_min", "t_max", "points")
-    _check_sections(cfg, {"model": _MODEL_KEYS}, prefixes={"sweep": sweep_keys})
+    _check_sections(cfg, {"model": _MODEL_KEYS, "fit": ("tol",)},
+                    prefixes={"sweep": sweep_keys})
     params = _model_from(cfg)
     if params.n not in (1, 2, 3):
         raise ConfigError(f"kernel-norm supports n = 1, 2 or 3, not n = {params.n}")
@@ -447,7 +444,7 @@ def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
               for s in cfg if s.startswith("sweep ")]
     if not sweeps:
         raise ConfigError("no [sweep NAME] sections configured")
-    tolerance = tol if tol is not None else 0.15
+    tolerance = _nonnegative(cfg.get("fit", {}), "tol", 0.15, "kernel-norm")
     rows, failures = [], 0
     for name, (which, band, a, r, regime, t_min, t_max, points) in sweeps:
         times = np.geomspace(t_min, t_max, points)
@@ -465,11 +462,9 @@ def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
         theory = _sweep_theory(which, a, regime, r, band, params)
         if theory is None:
             rel_err, ok = "", True
-        elif theory == 0:
-            rel_err = abs(fit.exponent)   # absolute deviation from flat
-            ok = rel_err <= tolerance
-        else:
-            rel_err = abs(fit.exponent - float(theory)) / abs(float(theory))
+        else:  # the deviation from a flat law (theory 0) is absolute
+            rel_err = (abs(fit.exponent - float(theory))
+                       / (abs(float(theory)) or 1.0))
             ok = rel_err <= tolerance
         failures += not ok
         rows.append({"sweep": name, **_params_cells(params),
@@ -487,7 +482,7 @@ def cmd_kernel_norm(cfg, out_dir, strict, tol) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(cfg, out_dir, strict, tol) -> int:
+def cmd_evolve(cfg, out_dir) -> int:
     _check_sections(cfg, {
         "model": _MODEL_KEYS,
         "grid": ("L", "N"),
@@ -535,7 +530,7 @@ def cmd_evolve(cfg, out_dir, strict, tol) -> int:
     return EXIT_OK
 
 
-def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
+def cmd_gevrey(cfg, out_dir) -> int:
     _check_sections(cfg, {
         "model": _MODEL_KEYS,
         "grid": ("L", "N"),
@@ -546,16 +541,14 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     gv = cfg.get("gevrey", {})
     data = _data_from(cfg, params.n, "gevrey", 100.0, 2048, 1.0)
     c = _get(gv, "c", float, 0.2)
-    t_max = _get(gv, "t_max", float, 10.0)
+    t_max = _nonnegative(gv, "t_max", 10.0, "gevrey")
     points = _get(gv, "points", int, 21)
-    ratio_bound = _get(gv, "ratio_bound", float, 2.0)
+    ratio_bound = _nonnegative(gv, "ratio_bound", 2.0, "gevrey")
     if points < 2:
         # One point is t = 0 alone, where the ratio is 1 by construction.
         raise ConfigError("gevrey: points must be >= 2")
     if not c > 0:
         raise ConfigError(f"gevrey: c = {c:g} must be positive")
-    if not (math.isfinite(t_max) and t_max >= 0):
-        raise ConfigError(f"gevrey: t_max = {t_max:g} must be finite and >= 0")
     base = gevrey_energy(data, c, params)
     rows, violations = [], 0
     for t in np.linspace(0.0, t_max, points):
@@ -584,7 +577,7 @@ def cmd_gevrey(cfg, out_dir, strict, tol) -> int:
     return EXIT_ASSERT if violations else EXIT_OK
 
 
-def cmd_toolkit(cfg, out_dir, strict, tol) -> int:
+def cmd_toolkit(cfg, out_dir, strict) -> int:
     _check_sections(cfg, {
         "model": _MODEL_KEYS,
         "toolkit": ("bell_max", "duhamel_times", "alpha_max", "alpha_step",
@@ -595,16 +588,13 @@ def cmd_toolkit(cfg, out_dir, strict, tol) -> int:
     times = _get(sec, "duhamel_times",
                  lambda text: [float(t) for t in text.split(",")],
                  [10.0, 100.0, 1000.0])
-    alpha_max = _get(sec, "alpha_max", float, 3.0)
+    alpha_max = _nonnegative(sec, "alpha_max", 3.0, "toolkit")
     alpha_step = _get(sec, "alpha_step", float, 0.5)
-    ratio_bound = _get(sec, "ratio_bound", float, 3.0)
+    ratio_bound = _nonnegative(sec, "ratio_bound", 3.0, "toolkit")
     if not 1 <= bell_max <= 20:
         raise ConfigError("toolkit: bell_max must be in 1..20")
     if not alpha_step > 0:
         raise ConfigError("toolkit: alpha_step must be positive")
-    if not (math.isfinite(alpha_max) and alpha_max >= 0):
-        raise ConfigError(f"toolkit: alpha_max = {alpha_max:g} must be "
-                          "finite and >= 0")
     if not min(times) > 0:
         raise ConfigError("toolkit: duhamel_times must be positive")
 
@@ -717,28 +707,37 @@ _COMMANDS = {
     "toolkit": cmd_toolkit,
 }
 
+#: The commands with a check that exits 2 only under --strict.
+_STRICT = ("admissible", "decay-fit", "kernel-norm", "toolkit")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmalab",
         description="Reproducible experiments for structurally damped "
                     "sigma-evolution equations.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cp = sub.add_parser(name)
-        cp.add_argument("--config", help="experiment config file (INI)")
-        cp.add_argument("--preset", help="built-in experiment name")
+        source = cp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="experiment config file (INI)")
+        source.add_argument("--preset", help="built-in experiment name")
         cp.add_argument("--out", default="out", help="output directory")
-        cp.add_argument("--strict", action="store_true",
-                        help="exit 2 also on the checks that otherwise only "
-                             "report (see the README's exit-code table)")
-        cp.add_argument("--tol", type=float, default=None,
-                        help="override fit tolerance")
-    args = parser.parse_args(argv)
+        if name in _STRICT:
+            cp.add_argument("--strict", action="store_true",
+                            help="exit 2 also on the checks that otherwise "
+                                 "only report (see the README's exit-code "
+                                 "table)")
 
     try:
-        if (args.config is None) == (args.preset is None):
-            raise ConfigError("exactly one of --config or --preset is required")
+        args = parser.parse_args(argv)
         if args.preset is not None:
             if args.preset not in PRESETS:
                 raise ConfigError(
@@ -752,7 +751,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.strict, args.tol)
+        flags = (args.strict,) if args.command in _STRICT else ()
+        return _COMMANDS[args.command](cfg, args.out, *flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -429,7 +429,8 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
     bounded when c is below the high-band envelope rate mu/2.  The sum
     runs over the rfftn half spectra, interior last-axis bins counted
     twice for their mirror modes, with the weight held on rho_rows.
-    Where the weight or the data's spectrum overflows it is inf or nan,
+    Modes of zero weight add nothing, even where their squared spectrum
+    overflows; where a weighted term overflows the energy is inf or nan,
     unwarned.
     """
     if not c > 0:
@@ -441,12 +442,12 @@ def gevrey_energy(snapshot: Snapshot, c: float, params: ModelParams) -> float:
         weight = (np.exp(2.0 * c * rho ** (2.0 * params.delta_f) * snapshot.t)
                   * (1.0 - np.asarray(cutoff_chi(rho))))
         weight_v = weight * rho ** (2.0 * params.sigma_f)
-        dens, prod = np.empty(power_v.shape), np.empty(power_v.shape)
+        dens, prod = np.zeros(power_v.shape), np.zeros(power_v.shape)
         for coarse, _, rows in _chunks(grid.n, grid.N, grid.N, grid.N):
-            part = dens[coarse]
-            np.multiply(weight[rows], power_vt[coarse], out=part)
-            np.add(part, np.multiply(weight_v[rows], power_v[coarse],
-                                     out=prod[coarse]), out=part)
+            part, w, w_v = dens[coarse], weight[rows], weight_v[rows]
+            np.multiply(w, power_vt[coarse], out=part, where=w != 0)
+            np.add(part, np.multiply(w_v, power_v[coarse], out=prod[coarse],
+                                     where=w_v != 0), out=part)
         energy = 2.0 * dens.sum() - dens[..., 0].sum() - dens[..., -1].sum()
     return float(grid.dx ** grid.n / grid.N ** grid.n * energy)
 

@@ -66,7 +66,7 @@ class TestArgumentHandling:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\nsigma = 2\nbanana = 1\n"
-                       "[admissible]\ntheorems = T2A\n")
+                       "[case T2A]\ntheorem = T2A\n")
         code = main(["admissible", "--config", str(cfg),
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -204,7 +204,7 @@ class TestAdmissible:
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             "[model]\nsigma = 1\ndelta = 1/4\nmu = 1\nn = 1\nq = 2\nm = 1\n"
-            "[admissible]\ntheorems = T2A\n")
+            "[case T2A]\ntheorem = T2A\n")
         assert main(["admissible", "--config", str(cfg),
                      "--out", str(tmp_path)]) == EXIT_OK
         assert main(["admissible", "--config", str(cfg), "--strict",
@@ -371,6 +371,8 @@ _EVOLVE = (_MODEL_1D + "q = 2\nm = 1\np = 3\n[grid]\nL = 20\nN = {N}\n"
            "[evolve]\nnonlinearity = abs_u_p\n")
 _GEVREY = (_MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
            "[gevrey]\nt_max = 1\npoints = {points}\n")
+_DECAY_FIT = (_MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
+              "[time]\nt_min = 1\nt_max = 5\n")
 
 #: Configs that once ended in an uncaught exception or in a misleading
 #: result (a NaN field read as a blow-up or a NaN fit, an empty gevrey
@@ -494,7 +496,30 @@ BAD_CONFIGS = {
                         "N = 64\n"),
     "gevrey-L-inf": ("gevrey", "L = inf must be finite and positive",
                      _GEVREY.replace("L = 20", "L = 1e400").format(points=5)),
+    # The [admissible] theorems list is gone; it once dropped silently
+    # when a [case] section was present.
+    "admissible-section": ("admissible", "unknown config section [admissible]",
+                           "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\nq = 5\n"
+                           "m = 1\nn = 3\ns = 0\n[case T2A]\ntheorem = T2A\n"
+                           "[admissible]\ntheorems = T3A, T5A\n"),
+    "admissible-no-case": ("admissible", "no [case NAME] sections configured",
+                           "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\n"),
 }
+
+#: A config of each command that reads a threshold, less the value.
+_THRESHOLD_CONFIGS = {
+    ("decay-fit", "tol"): _DECAY_FIT + "[fit]\ntol = ",
+    ("kernel-norm", "tol"): (_MODEL_1D + _SWEEP.format(
+        which="K1", band="low", points=5) + "[fit]\ntol = "),
+    ("gevrey", "ratio_bound"): _GEVREY.format(points=5) + "ratio_bound = ",
+    ("toolkit", "ratio_bound"): "[toolkit]\nratio_bound = ",
+}
+BAD_CONFIGS.update({
+    f"{command}-{key}-{name}": (
+        command, f"{command}: {key} = {value} must be finite and >= 0",
+        text + value + "\n")
+    for (command, key), text in _THRESHOLD_CONFIGS.items()
+    for name, value in (("nan", "nan"), ("negative", "-1"), ("inf", "inf"))})
 
 
 class TestConfigErrors:
@@ -502,7 +527,7 @@ class TestConfigErrors:
         # Only the float-using commands need a model value to fit a float.
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\nsigma = 2\ndelta = 9/10\nmu = 1e400\nq = 5\n"
-                       "m = 1\nn = 3\ns = 0\n[admissible]\ntheorems = T2A\n")
+                       "m = 1\nn = 3\ns = 0\n[case T2A]\ntheorem = T2A\n")
         assert main(["admissible", "--config", str(cfg),
                      "--out", str(tmp_path)]) == EXIT_OK
         assert ",1" + "0" * 400 + "," in (tmp_path / "admissible.csv").read_text()
@@ -663,9 +688,6 @@ class TestGevreyOverflow:
         assert not (tmp_path / "gevrey.csv").exists()
 
 
-_DECAY_FIT = (_MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
-              "[time]\nt_min = 1\nt_max = 5\n")
-
 #: Data too large to square, with the command that reads them and the
 #: message it stops with: the L^2 norm of the linear flow overflows, or
 #: at t = 0 the data's own Gevrey energy does.  Each command exits 3,
@@ -680,6 +702,11 @@ OVERFLOW_CONFIGS = {
     "gevrey-norm": ("gevrey", "the L^2 norm at t = 0.25 overflows (the data "
                     "are too large)", _GEVREY.format(points=5)
                     + "[data]\namplitude = 1.8e152\nwidth = 40\n"),
+    # Only the zero mode's square overflows; its Gevrey weight is 0, so
+    # the energy at t = 0 is finite and the flow's monitor stops the scan.
+    "gevrey-zero-mode": ("gevrey", "the L^2 norm at t = 0.5 overflows (the "
+                         "data are too large)", _GEVREY.format(points=3)
+                         + "[data]\namplitude = 1e153\nwidth = 40\n"),
 }
 
 
@@ -700,23 +727,25 @@ class TestOverflowingData:
         assert list(out.iterdir()) == []
 
 
-#: Per command, a config with a failing check, extra arguments, and the
-#: exit code without and with --strict: the table in the README.
+#: Per command, a config with a failing check and the exit code without
+#: and with --strict: the table in the README.  evolve and gevrey have no
+#: --strict, so the flag is a usage error there.
 EXIT_RULES = {
     "admissible-gate": ("admissible", _MODEL_1D + "q = 2\nm = 1\n"
-                        "[admissible]\ntheorems = T2A\n", [], EXIT_OK, EXIT_ASSERT),
-    "decay-fit-tolerance": ("decay-fit", _DECAY_FIT + "[fit]\ntol = 0\n", [],
+                        "[case T2A]\ntheorem = T2A\n", EXIT_OK, EXIT_ASSERT),
+    "decay-fit-tolerance": ("decay-fit", _DECAY_FIT + "[fit]\ntol = 0\n",
                             EXIT_ASSERT, EXIT_ASSERT),
     "decay-fit-wrap-around": ("decay-fit", _DECAY_FIT + "[data]\nwidth = 10\n"
-                              "[fit]\ntol = 1e9\n", [], EXIT_OK, EXIT_ASSERT),
+                              "[fit]\ntol = 1e9\n", EXIT_OK, EXIT_ASSERT),
     "kernel-norm-tolerance": ("kernel-norm", _MODEL_1D + _SWEEP.format(
-        which="K1", band="low", points=5), ["--tol", "0"], EXIT_OK, EXIT_ASSERT),
-    "evolve": ("evolve", _EVOLVE.format(N=64, store_every=5), ["--tol", "0"],
-               EXIT_OK, EXIT_OK),
+        which="K1", band="low", points=5) + "[fit]\ntol = 0\n",
+        EXIT_OK, EXIT_ASSERT),
+    "evolve": ("evolve", _EVOLVE.format(N=64, store_every=5),
+               EXIT_OK, EXIT_CONFIG),
     "gevrey-ratio-bound": ("gevrey", _GEVREY.format(points=5)
-                           + "ratio_bound = 1e-9\n", [], EXIT_ASSERT, EXIT_ASSERT),
+                           + "ratio_bound = 1e-9\n", EXIT_ASSERT, EXIT_CONFIG),
     "toolkit-spread": ("toolkit", "[toolkit]\nbell_max = 2\nalpha_max = 0\n"
-                       "duhamel_times = 10,100\nratio_bound = 0.5\n", [],
+                       "duhamel_times = 10,100\nratio_bound = 0.5\n",
                        EXIT_OK, EXIT_ASSERT),
 }
 
@@ -725,15 +754,63 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", sorted(EXIT_RULES))
     def test_failed_check_exit_code(self, tmp_path, name):
         # The CSV reports the check either way; --strict may only turn
-        # exit 0 into exit 2.
-        command, text, args, plain, strict = EXIT_RULES[name]
+        # exit 0 into exit 2, or be rejected before anything is written.
+        command, text, plain, strict = EXIT_RULES[name]
         cfg = tmp_path / "c.ini"
         cfg.write_text(text)
         for flags, expected in (([], plain), (["--strict"], strict)):
             out = tmp_path / ("strict" if flags else "plain")
             assert main([command, "--config", str(cfg), "--out", str(out),
-                         *args, *flags]) == expected
-            assert len(list(out.iterdir())) >= 1
+                         *flags]) == expected
+            if expected == EXIT_CONFIG:
+                assert not out.exists()
+            else:
+                assert len(list(out.iterdir())) >= 1
+
+
+#: Command lines that argparse rejects, and a phrase of the message: each
+#: exits 1 with a config error and writes nothing.
+USAGE_ERRORS = {
+    "unknown-option": (["evolve", "--preset", "semilinear-smoke", "--bogus"],
+                       "unrecognized arguments: --bogus"),
+    # --tol was a float option; no command takes it now.
+    "tol-bad-float": (["kernel-norm", "--preset", "kernel-rates", "--tol", "abc"],
+                      "unrecognized arguments: --tol abc"),
+    "tol-decay-fit": (["decay-fit", "--preset", "linear-decay", "--tol", "0.1"],
+                      "unrecognized arguments: --tol 0.1"),
+    "no-subcommand": ([], "the following arguments are required: command"),
+    "unknown-subcommand": (["bogus"], "invalid choice: 'bogus'"),
+    "option-without-value": (["admissible", "--preset"],
+                             "argument --preset: expected one argument"),
+    "evolve-strict": (["evolve", "--preset", "semilinear-smoke", "--strict"],
+                      "unrecognized arguments: --strict"),
+    "gevrey-strict": (["gevrey", "--preset", "gevrey-check", "--strict"],
+                      "unrecognized arguments: --strict"),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+    def test_usage_error_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                         name):
+        argv, message = USAGE_ERRORS[name]
+        monkeypatch.chdir(tmp_path)  # where the default --out would go
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sigmalab") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_process_exit_code(self, tmp_path):
+        # argparse's own exit code for a usage error is 2, a failed check.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "sigmalab.cli"], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.startswith("config error: sigmalab: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestDeterminism:
@@ -782,7 +859,7 @@ class TestColdStart:
         (tmp_path / "evolve.ini").write_text(_EVOLVE.format(N=32, store_every=5))
         (tmp_path / "admissible.ini").write_text(
             "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\nq = 5\nm = 1\n"
-            "n = 3\ns = 0\n[admissible]\ntheorems = T2A\n")
+            "n = 3\ns = 0\n[case T2A]\ntheorem = T2A\n")
         loaded = _run_fresh(
             "import sigmalab, sigmalab.cli\n"
             "from sigmalab.cli import main\n"

@@ -578,6 +578,16 @@ class TestNormsAndOperators:
             with pytest.raises(ValueError):
                 gevrey_energy(snap, c, P_SMALL)
 
+    def test_gevrey_energy_skips_zero_weight_modes(self):
+        # Only the zero mode's |v|^2 overflows, and its weight 1 - chi is
+        # 0: it adds nothing, so the energy scales with the amplitude.
+        grid = make_grid(1, 20.0, 64)
+        energy = [gevrey_energy(Snapshot(0.0, gaussian_field(grid, amplitude, 40.0),
+                                         zero_field(grid)), 0.2, P_SMALL)
+                  for amplitude in (1e150, 1e153)]
+        assert math.isfinite(energy[1])
+        assert energy[1] == pytest.approx(1e6 * energy[0], rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
     def test_gevrey_energy_matches_full_spectrum_reference(self, n, N):
         # White noise puts O(1) content on every Nyquist row, which the
