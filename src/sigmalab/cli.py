@@ -29,18 +29,19 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .admissibility import AdmissibleInterval, TheoremId, admissible_interval
 from .kernels import fit_power_law, kernel_lr_norm, theoretical_exponent
 from .params import ModelParams, as_fraction, validate
-from .spectral import (BlowUpError, Snapshot, TorusGrid, gaussian_field,
-                       gevrey_energy, linear_evolve, lq_norm, make_grid,
-                       semilinear_solve, zero_field)
+from .spectral import (BlowUpError, Snapshot, gaussian_field, gevrey_energy,
+                       linear_evolve, lq_norm, make_grid, semilinear_solve,
+                       zero_field)
 from .toolkit import duhamel_bound, duhamel_integral, faa_di_bruno_partitions
 
 __all__ = ["main"]
@@ -49,8 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ASSERT = 2
 EXIT_NONCONV = 3
-
-_MODEL_KEYS = ("sigma", "delta", "mu", "n", "q", "m", "s", "p")
 
 
 class ConfigError(Exception):
@@ -101,109 +100,194 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _check_sections(cfg: dict[str, dict[str, str]],
-                    allowed: dict[str, tuple[str, ...]],
-                    prefixes: Optional[dict[str, tuple[str, ...]]] = None) -> None:
-    """Reject unknown sections and keys up front."""
-    prefixes = prefixes or {}
+class _Domain(NamedTuple):
+    """What a converted value must satisfy, and how an error says it."""
+
+    ok: Callable[[object], bool]
+    phrase: str
+
+
+_FINITE = _Domain(math.isfinite, "must be finite")
+_POSITIVE = _Domain(lambda v: v > 0, "must be positive")
+_NONNEGATIVE = _Domain(lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
+
+
+def _at_least(k) -> _Domain:
+    return _Domain(lambda v: v >= k, f"must be >= {k}")
+
+
+def _one_of(*choices: str) -> _Domain:
+    return _Domain(choices.__contains__,
+                   f"must be {', '.join(choices[:-1])} or {choices[-1]}")
+
+
+_REQUIRED = "required"  # the default of a key that must be given
+
+
+class _Key(NamedTuple):
+    """A config key: the converter of its text (of each comma-separated
+    item when `each`), its default as config text (None: the key stays
+    unset) and the domain of its value (of each item)."""
+
+    conv: Callable[[str], object]
+    default: Optional[str] = None
+    domain: Optional[_Domain] = None
+    each: bool = False
+
+
+#: [model], with the ModelParams defaults; `validate` checks the values.
+_MODEL = {f.name: _Key(int if f.name == "n" else as_fraction,
+                       None if f.default is None else str(f.default))
+          for f in dataclass_fields(ModelParams)}
+
+
+#: Per command, the keys of each section; a [prefix NAME] entry stands
+#: for any number of sections named `prefix <name>`.  Keys that a
+#: library function checks (grid, data, time step) have no domain here.
+_KEYS: dict[str, dict[str, dict[str, _Key]]] = {
+    "admissible": {"model": _MODEL, "case NAME": {
+        **{key: _Key(row.conv) for key, row in _MODEL.items()},
+        "theorem": _Key(str, _REQUIRED, _one_of(*(t.value for t in TheoremId)))}},
+    "decay-fit": {
+        "model": _MODEL,
+        "grid": {"L": _Key(float, "400"), "N": _Key(int, "32768")},
+        "data": {"amplitude": _Key(float, "1"), "width": _Key(float, "1"),
+                 "which": _Key(str, "u0", _one_of("u0", "u1", "zero"))},
+        "time": {"t_min": _Key(float, "10", _FINITE),
+                 "t_max": _Key(float, "500", _FINITE),
+                 "points": _Key(int, "9", _at_least(5))},
+        "fit": {"tol": _Key(float, "0.10", _NONNEGATIVE)}},
+    "kernel-norm": {
+        "model": _MODEL,
+        "sweep NAME": {
+            "which": _Key(str, _REQUIRED, _one_of("K0", "K1")),
+            "a": _Key(as_fraction, "0", _at_least(0)),
+            "band": _Key(str, "full", _one_of("low", "high", "full")),
+            "r": _Key(as_fraction, "1", _at_least(1)),
+            "regime": _Key(str, _REQUIRED, _one_of("small_t", "large_t")),
+            "t_min": _Key(float, _REQUIRED, _FINITE),
+            "t_max": _Key(float, _REQUIRED, _FINITE),
+            "points": _Key(int, "7", _at_least(5))},
+        "fit": {"tol": _Key(float, "0.15", _NONNEGATIVE)}},
+    "evolve": {
+        "model": _MODEL,
+        "grid": {"L": _Key(float, "100"), "N": _Key(int, "1024")},
+        "data": {"amplitude": _Key(float, "1e-3"), "width": _Key(float, "1")},
+        "time": {"t_end": _Key(float, "200"), "dt": _Key(float, "0.1"),
+                 "store_every": _Key(int, "10")},
+        "evolve": {"nonlinearity": _Key(str, "none"),
+                   "q_list": _Key(lambda q: float(Fraction(q)), "2", _at_least(1),
+                                  each=True),
+                   "ceiling": _Key(float, "1e6", _POSITIVE)}},
+    "gevrey": {
+        "model": _MODEL,
+        "grid": {"L": _Key(float, "100"), "N": _Key(int, "2048")},
+        "data": {"amplitude": _Key(float, "1"), "width": _Key(float, "1")},
+        "gevrey": {"c": _Key(float, "0.2", _POSITIVE),
+                   "t_max": _Key(float, "10", _NONNEGATIVE),
+                   # One point is t = 0 alone, where the ratio is 1 by construction.
+                   "points": _Key(int, "21", _at_least(2)),
+                   "ratio_bound": _Key(float, "2", _NONNEGATIVE)}},
+    "toolkit": {"model": _MODEL, "toolkit": {
+        "bell_max": _Key(int, "6", _Domain(lambda v: 1 <= v <= 20, "must be in 1..20")),
+        "duhamel_times": _Key(float, "10,100,1000", _POSITIVE, each=True),
+        "alpha_max": _Key(float, "3", _NONNEGATIVE),
+        "alpha_step": _Key(float, "0.5", _POSITIVE),
+        "ratio_bound": _Key(float, "3", _NONNEGATIVE)}},
+}
+
+
+def _resolve(where: str, section: str, entries: dict[str, str],
+             keys: dict[str, _Key]) -> dict:
+    """The values of one section, in the order of `keys`: each given or
+    default text converted and checked against its key's domain."""
+    for key in entries:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    values = {}
+    for key, (conv, default, domain, each) in keys.items():
+        text = entries.get(key, default)
+        if text is None:
+            continue
+        if key not in entries and default == _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        try:
+            value = [conv(item) for item in text.split(",")] if each else conv(text)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        if domain is not None:
+            for item in value if each else (value,):
+                if not domain.ok(item):
+                    shown = f"{item:g}" if isinstance(item, float) else item
+                    raise ConfigError(f"{where}: {key} = {shown} {domain.phrase}")
+        values[key] = value
+    return values
+
+
+def _named(cfg: dict[str, dict[str, str]], prefix: str, keys: dict[str, _Key]):
+    """(name, values) of each [prefix name] section, resolved as it is
+    reached, so that a scan holds one at a time."""
     for section, entries in cfg.items():
-        keys = allowed.get(section, next((
-            prefix_keys for prefix, prefix_keys in prefixes.items()
-            if section.startswith(prefix + " ")), None))
-        if keys is None:
+        if section.startswith(prefix):
+            name = section[len(prefix):]
+            yield name, _resolve(f"{prefix}{name!r}", section, entries, keys)
+
+
+def _read(cfg: dict[str, dict[str, str]], command: str) -> dict:
+    """The values of each section of the command's key table, unknown
+    sections rejected.  A [prefix NAME] entry, which at least one section
+    must match, is a generator of (name, values) of those sections."""
+    table = _KEYS[command]
+    named = set()
+    for section in cfg:
+        prefix, _, name = section.partition(" ")
+        if name and f"{prefix} NAME" in table:
+            named.add(f"{prefix} NAME")
+        elif section not in table:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in entries:
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    values = {}
+    for section, keys in table.items():
+        if not section.endswith(" NAME"):
+            values[section] = _resolve(command, section, cfg.get(section, {}),
+                                       keys)
+        elif section in named:
+            values[section] = _named(cfg, section[:-4], keys)
+        else:
+            raise ConfigError(f"no [{section}] sections configured")
+    return values
 
 
-def _params_from(cfg: dict[str, dict[str, str]],
-                 overrides: Optional[dict[str, str]] = None,
-                 section: str = "model") -> ModelParams:
-    """ModelParams of [model] and the model keys of `overrides`, unchecked."""
-    fields = dict(cfg.get("model", {}))
-    if overrides:
-        fields.update({k: v for k, v in overrides.items() if k in _MODEL_KEYS})
-    try:
-        return ModelParams.make(**fields)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"invalid model parameters: {exc} "
-                          f"in section [{section}]") from exc
-
-
-def _model_from(cfg: dict[str, dict[str, str]]) -> ModelParams:
-    """Valid ModelParams of [model], each value finite as a float (the
-    float-using commands read the float views)."""
-    params = _params_from(cfg)
+def _model_from(values: dict) -> ModelParams:
+    """Valid ModelParams of the [model] values, each nonzero value a
+    nonzero finite float (the float-using commands read the float views)."""
+    params = ModelParams.make(**values)
     report = validate(params)
     if not report.ok:
         raise ConfigError("invalid model parameters: " + "; ".join(report.violations))
-    for key in _MODEL_KEYS:
+    for key in _MODEL:
+        value = getattr(params, key) or 0
         try:
-            float(getattr(params, key) or 0)
+            if value and not float(value):
+                raise ConfigError(f"invalid model parameters: {key} is too small "
+                                  "for a float")
         except OverflowError:
             raise ConfigError(f"invalid model parameters: {key} is too large "
                               "for a float") from None
     return params
 
 
-def _get(section: dict[str, str], key: str, conv: Callable, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return conv(section[key])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-
-
-def _nonnegative(section: dict[str, str], key: str, default: float,
-                 where: str) -> float:
-    """A float of `section` that must be finite and >= 0, such as a
-    tolerance or a bound."""
-    value = _get(section, key, float, default)
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{where}: {key} = {value:g} must be finite and >= 0")
-    return value
-
-
-def _grid_from(section: dict[str, str], n: int, default_L: float,
-               default_N: int) -> TorusGrid:
-    L = _get(section, "L", float, default_L)
-    N = _get(section, "N", int, default_N)
-    try:
-        return make_grid(n, L, N)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-
-
-def _data_from(cfg: dict[str, dict[str, str]], n: int, where: str,
-               default_L: float, default_N: int, default_amplitude: float,
-               which: str = "u0") -> Snapshot:
+def _data_from(config: dict, n: int, where: str, which: str = "u0") -> Snapshot:
     """Data at t = 0 on the torus of [grid]: the Gaussian of [data] as
     u0 or as u1, the other zero, or zero data (which = "zero")."""
-    grid = _grid_from(cfg.get("grid", {}), n, default_L, default_N)
-    sec = cfg.get("data", {})
+    grid, data = config["grid"], config["data"]
     try:
-        bump = gaussian_field(grid, _get(sec, "amplitude", float, default_amplitude),
-                              _get(sec, "width", float, 1.0))
+        bump = gaussian_field(make_grid(n, grid["L"], grid["N"]),
+                              data["amplitude"], data["width"])
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    zero = zero_field(grid)
+    zero = zero_field(bump.grid)
     u, ut = {"u0": (bump, zero), "u1": (zero, bump), "zero": (zero, zero)}[which]
     return Snapshot(t=0.0, u=u, ut=ut)
-
-
-def _check_fit_window(where: str, t_min: float, t_max: float,
-                      points: int) -> None:
-    """Reject a time window that the power-law fit cannot use."""
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise ConfigError(f"{where}: t_min and t_max must be finite")
-    if not 0 < t_min < t_max:
-        raise ConfigError(f"{where}: need 0 < t_min < t_max")
-    if points < 5:
-        raise ConfigError(f"{where}: points must be >= 5 for the power-law fit")
 
 
 def _fmt(value) -> str:
@@ -217,12 +301,8 @@ def _fmt(value) -> str:
 
 
 def _params_cells(params: ModelParams) -> dict[str, str]:
-    return {
-        "sigma": str(params.sigma), "delta": str(params.delta),
-        "mu": str(params.mu), "n": str(params.n), "q": str(params.q),
-        "m": str(params.m), "s": str(params.s),
-        "p": "" if params.p is None else str(params.p),
-    }
+    return {key: "" if (value := getattr(params, key)) is None else str(value)
+            for key in _MODEL}
 
 
 def _csv_lines(fieldnames: list[str]) -> tuple[list[str], Callable]:
@@ -265,27 +345,9 @@ def _interval_text(interval: AdmissibleInterval) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _admissible_cases(cfg):
-    """(section, theorem, params) of each [case NAME], as it is parsed."""
-    sections = [s for s in cfg if s.startswith("case ")]
-    if not sections:
-        raise ConfigError("no [case NAME] sections configured")
-    for section in sections:
-        entries = cfg[section]
-        if "theorem" not in entries:
-            raise ConfigError(f"section [{section}] needs a theorem key")
-        try:
-            theorem = TheoremId(entries["theorem"])
-        except ValueError as exc:
-            raise ConfigError(f"unknown theorem {entries['theorem']!r} "
-                              f"in section [{section}]") from exc
-        yield section, theorem, _params_from(cfg, entries, section)
-
-
 def cmd_admissible(cfg, out_dir, strict) -> int:
-    _check_sections(cfg, {"model": _MODEL_KEYS},
-                    prefixes={"case": _MODEL_KEYS + ("theorem",)})
-    fields = ["case", "theorem", *_MODEL_KEYS,
+    config = _read(cfg, "admissible")
+    fields = ["case", "theorem", *_MODEL,
               "interval", "empty", "gate_failed", "empty_reason"]
     # Each case is validated, once, by admissible_interval as it is
     # parsed, and leaves its CSV and NDJSON lines; the files are written
@@ -293,15 +355,17 @@ def cmd_admissible(cfg, out_dir, strict) -> int:
     csv_lines, writerow = _csv_lines(fields)
     json_lines = []
     gate_failures = 0
-    for section, theorem, params in _admissible_cases(cfg):
+    for name, case in config["case NAME"]:
+        theorem = TheoremId(case.pop("theorem"))
+        params = ModelParams.make(**{**config["model"], **case})
         try:
             interval = admissible_interval(theorem, params)
         except ValueError as exc:
-            raise ConfigError(f"{exc} in section [{section}]") from exc
+            raise ConfigError(f"{exc} in section [case {name}]") from exc
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed
-        cells = [section[5:], theorem.value, *_params_cells(params).values(),
+        cells = [name, theorem.value, *_params_cells(params).values(),
                  _interval_text(interval), str(int(interval.empty)),
                  str(int(gate_failed)), interval.empty_reason or ""]
         writerow(cells)
@@ -336,24 +400,14 @@ def _edge_fraction(snapshot: Snapshot) -> float:
 
 
 def cmd_decay_fit(cfg, out_dir, strict) -> int:
-    _check_sections(cfg, {
-        "model": _MODEL_KEYS,
-        "grid": ("L", "N"),
-        "time": ("t_min", "t_max", "points"),
-        "data": ("amplitude", "width", "which"),
-        "fit": ("tol",),
-    })
-    params = _model_from(cfg)
-    time_sec, fit_sec = cfg.get("time", {}), cfg.get("fit", {})
-    t_min = _get(time_sec, "t_min", float, 10.0)
-    t_max = _get(time_sec, "t_max", float, 500.0)
-    points = _get(time_sec, "points", int, 9)
-    _check_fit_window("decay-fit", t_min, t_max, points)
-    which = _get(cfg.get("data", {}), "which", str, "u0")
-    tolerance = _nonnegative(fit_sec, "tol", 0.10, "decay-fit")
-    if which not in ("u0", "u1", "zero"):
-        raise ConfigError("data which must be u0, u1 or zero")
-    data = _data_from(cfg, params.n, "decay-fit", 400.0, 2 ** 15, 1.0, which)
+    config = _read(cfg, "decay-fit")
+    params = _model_from(config["model"])
+    t_min, t_max, points = config["time"].values()
+    if not 0 < t_min < t_max:
+        raise ConfigError("decay-fit: need 0 < t_min < t_max")
+    which = config["data"]["which"]
+    tolerance = config["fit"]["tol"]
+    data = _data_from(config, params.n, "decay-fit", which)
 
     times = np.geomspace(t_min, t_max, points)
     samples, wrapped = [], 0
@@ -409,44 +463,19 @@ def _sweep_theory(which: str, a: Fraction, regime: str, r: Fraction,
     return theoretical_exponent(which, a, regime, r, params)
 
 
-def _sweep_from(name: str, sec: dict[str, str]) -> tuple:
-    """(which, band, a, r, regime, t_min, t_max, points) of one
-    [sweep NAME] section, every value checked before any norm is computed."""
-    which = _get(sec, "which", str)
-    band = _get(sec, "band", str, "full")
-    a = _get(sec, "a", as_fraction, Fraction(0))
-    r = _get(sec, "r", as_fraction, Fraction(1))
-    regime = _get(sec, "regime", str)
-    t_min = _get(sec, "t_min", float)
-    t_max = _get(sec, "t_max", float)
-    points = _get(sec, "points", int, 7)
-    for ok, message in [
-            (which in ("K0", "K1"), "which must be K0 or K1"),
-            (band in ("low", "high", "full"), "band must be low, high or full"),
-            (regime in ("small_t", "large_t"), "regime must be small_t or large_t"),
-            (r >= 1, "r must be >= 1"),
-            (a >= 0, "a must be >= 0")]:
-        if not ok:
-            raise ConfigError(f"sweep {name!r}: {message}")
-    _check_fit_window(f"sweep {name!r}", t_min, t_max, points)
-    return which, band, a, r, regime, t_min, t_max, points
-
-
 def cmd_kernel_norm(cfg, out_dir, strict) -> int:
-    sweep_keys = ("which", "a", "band", "r", "regime",
-                  "t_min", "t_max", "points")
-    _check_sections(cfg, {"model": _MODEL_KEYS, "fit": ("tol",)},
-                    prefixes={"sweep": sweep_keys})
-    params = _model_from(cfg)
+    config = _read(cfg, "kernel-norm")
+    params = _model_from(config["model"])
     if params.n not in (1, 2, 3):
         raise ConfigError(f"kernel-norm supports n = 1, 2 or 3, not n = {params.n}")
-    sweeps = [(s[6:], _sweep_from(s[6:], cfg[s]))
-              for s in cfg if s.startswith("sweep ")]
-    if not sweeps:
-        raise ConfigError("no [sweep NAME] sections configured")
-    tolerance = _nonnegative(cfg.get("fit", {}), "tol", 0.15, "kernel-norm")
+    # Every sweep is checked before any norm is computed.
+    sweeps = [(name, *sweep.values()) for name, sweep in config["sweep NAME"]]
+    for name, *_, t_min, t_max, _ in sweeps:
+        if not 0 < t_min < t_max:
+            raise ConfigError(f"sweep {name!r}: need 0 < t_min < t_max")
+    tolerance = config["fit"]["tol"]
     rows, failures = [], 0
-    for name, (which, band, a, r, regime, t_min, t_max, points) in sweeps:
+    for name, which, a, band, r, regime, t_min, t_max, points in sweeps:
         times = np.geomspace(t_min, t_max, points)
         samples = []
         for t in times:
@@ -483,31 +512,14 @@ def cmd_kernel_norm(cfg, out_dir, strict) -> int:
 
 
 def cmd_evolve(cfg, out_dir) -> int:
-    _check_sections(cfg, {
-        "model": _MODEL_KEYS,
-        "grid": ("L", "N"),
-        "time": ("t_end", "dt", "store_every"),
-        "data": ("amplitude", "width"),
-        "evolve": ("nonlinearity", "q_list", "ceiling"),
-    })
-    params = _model_from(cfg)
-    time_sec, ev_sec = cfg.get("time", {}), cfg.get("evolve", {})
-    data = _data_from(cfg, params.n, "evolve", 100.0, 1024, 1e-3)
-    t_end = _get(time_sec, "t_end", float, 200.0)
-    dt = _get(time_sec, "dt", float, 0.1)
-    store_every = _get(time_sec, "store_every", int, 10)
-    nonlinearity = _get(ev_sec, "nonlinearity", str, "none")
-    q_list = _get(ev_sec, "q_list",
-                  lambda text: [float(Fraction(q)) for q in text.split(",")],
-                  [2.0])
-    ceiling = _get(ev_sec, "ceiling", float, 1e6)
-    if min(q_list) < 1:
-        raise ConfigError("evolve: every q in q_list must be >= 1")
+    config = _read(cfg, "evolve")
+    params = _model_from(config["model"])
+    data = _data_from(config, params.n, "evolve")
+    t_end, dt, store_every = config["time"].values()
+    nonlinearity, q_list, ceiling = config["evolve"].values()
     names = [f"norm_L{q:g}" for q in q_list]
     if twice := [q for i, q in enumerate(q_list) if names[i] in names[:i]]:
         raise ConfigError(f"evolve: q = {twice[0]:g} appears twice in q_list")
-    if not ceiling > 0:
-        raise ConfigError(f"evolve: ceiling = {ceiling:g} must be positive")
 
     rows = []
     try:
@@ -531,24 +543,10 @@ def cmd_evolve(cfg, out_dir) -> int:
 
 
 def cmd_gevrey(cfg, out_dir) -> int:
-    _check_sections(cfg, {
-        "model": _MODEL_KEYS,
-        "grid": ("L", "N"),
-        "data": ("amplitude", "width"),
-        "gevrey": ("c", "t_max", "points", "ratio_bound"),
-    })
-    params = _model_from(cfg)
-    gv = cfg.get("gevrey", {})
-    data = _data_from(cfg, params.n, "gevrey", 100.0, 2048, 1.0)
-    c = _get(gv, "c", float, 0.2)
-    t_max = _nonnegative(gv, "t_max", 10.0, "gevrey")
-    points = _get(gv, "points", int, 21)
-    ratio_bound = _nonnegative(gv, "ratio_bound", 2.0, "gevrey")
-    if points < 2:
-        # One point is t = 0 alone, where the ratio is 1 by construction.
-        raise ConfigError("gevrey: points must be >= 2")
-    if not c > 0:
-        raise ConfigError(f"gevrey: c = {c:g} must be positive")
+    config = _read(cfg, "gevrey")
+    params = _model_from(config["model"])
+    data = _data_from(config, params.n, "gevrey")
+    c, t_max, points, ratio_bound = config["gevrey"].values()
     base = gevrey_energy(data, c, params)
     rows, violations = [], 0
     for t in np.linspace(0.0, t_max, points):
@@ -578,25 +576,8 @@ def cmd_gevrey(cfg, out_dir) -> int:
 
 
 def cmd_toolkit(cfg, out_dir, strict) -> int:
-    _check_sections(cfg, {
-        "model": _MODEL_KEYS,
-        "toolkit": ("bell_max", "duhamel_times", "alpha_max", "alpha_step",
-                    "ratio_bound"),
-    })
-    sec = cfg.get("toolkit", {})
-    bell_max = _get(sec, "bell_max", int, 6)
-    times = _get(sec, "duhamel_times",
-                 lambda text: [float(t) for t in text.split(",")],
-                 [10.0, 100.0, 1000.0])
-    alpha_max = _nonnegative(sec, "alpha_max", 3.0, "toolkit")
-    alpha_step = _get(sec, "alpha_step", float, 0.5)
-    ratio_bound = _nonnegative(sec, "ratio_bound", 3.0, "toolkit")
-    if not 1 <= bell_max <= 20:
-        raise ConfigError("toolkit: bell_max must be in 1..20")
-    if not alpha_step > 0:
-        raise ConfigError("toolkit: alpha_step must be positive")
-    if not min(times) > 0:
-        raise ConfigError("toolkit: duhamel_times must be positive")
+    (bell_max, times, alpha_max, alpha_step,
+     ratio_bound) = _read(cfg, "toolkit")["toolkit"].values()
 
     rows = []
     for order in range(1, bell_max + 1):
@@ -747,7 +728,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             if preset_command != args.command:
                 raise ConfigError(
                     f"preset {args.preset!r} belongs to {preset_command!r}")
-            cfg = {sec: dict(entries) for sec, entries in cfg.items()}
         else:
             cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)

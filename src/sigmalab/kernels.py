@@ -155,7 +155,8 @@ def _oscillation_hint(g_scaled: Callable[[np.ndarray], np.ndarray],
     The oscillatory phase above the coalescence radius is
     t * omega(rho) with omega = rho^sigma f(rho); its eta-derivative is
     t * scale * omega'(scale * eta).  Probes where the multiplier is
-    dead (|g| < 1e-13 of the peak) are ignored.
+    dead (|g| < 1e-13 of the peak) are ignored; with fewer than two alive
+    the hint is 0, as with none.
     """
     rho_star = coalescence_radius(params)
     eta_lo = max(1e-9, 1.05 * rho_star / scale)
@@ -169,7 +170,7 @@ def _oscillation_hint(g_scaled: Callable[[np.ndarray], np.ndarray],
     mags = np.abs(g_scaled(etas))
     peak = np.max(np.abs(g_scaled(np.geomspace(1e-9, eta_max, 400))))
     alive = osc & (mags > 1e-13 * max(peak, 1e-300))
-    if not np.any(alive):
+    if np.count_nonzero(alive) < 2:  # np.gradient needs two probes
         return 0.0
     rr = rhos[alive]
     mu2 = params.mu_f ** 2

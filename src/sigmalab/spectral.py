@@ -167,6 +167,10 @@ def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
 #: diagonal passes run in chunks of an eighth of that.
 _BLOCK_SAMPLES = 2 ** 15
 
+#: The largest integral p for which |u|^p is taken by repeated
+#: multiplication; a larger one, which would take p - 1 passes, by pow.
+_MULTIPLY_MAX = 8
+
 
 def _chunks(n: int, N: int, M: int, rows: int):
     """(half lattice, padded lines, rho_rows) index triples in chunks of
@@ -267,7 +271,7 @@ def semilinear_solve(
     halving dt from 0.2 (n = 1, N = 512, t = 4, p = 3) gives observed
     orders of about 2 for "abs_u_p" and 1 for "abs_ut_p".  Integer p is
     taken on a 3/2-padded lattice, which de-aliases quadratic products
-    only, and by repeated multiplication rather than pow.
+    only, and up to p = 8 by repeated multiplication rather than pow.
 
     The torus does not damp its zero mode (K0hat(t, 0) = 1, K1hat(t, 0)
     = t), so for "abs_u_p" the mean m of u obeys m'' = <|u|^p> >= |m|^p
@@ -290,8 +294,9 @@ def semilinear_solve(
     """
     if nonlinearity not in ("abs_u_p", "abs_ut_p", "none"):
         raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and np.isfinite(t_end / dt)):
+        raise ValueError(f"need dt > 0 and t_end / dt finite, not t_end = {t_end:g}, "
+                         f"dt = {dt:g}")
     steps = round(t_end / dt)
     if steps < 0 or abs(t_end / dt - steps) > 1e-9 * t_end / dt:
         raise ValueError(f"t_end / dt = {t_end / dt:.12g} must be a "
@@ -381,7 +386,7 @@ def _stepping(first: Snapshot, params: ModelParams, nonlinearity: str,
                 rows = line_rows[start:start + block]
                 x, y = phys[:len(rows)], power[:len(rows)]
                 np.abs(np.fft.irfft(rows, M, out=x), out=x)
-                if dealias and p >= 1:
+                if dealias and 1 <= p <= _MULTIPLY_MAX:
                     np.copyto(y, x)
                     for _ in range(int(p) - 1):
                         y *= x

@@ -339,6 +339,16 @@ class TestEvolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "evolve.csv").exists()
 
+    def test_large_integral_p_ends(self, tmp_path):
+        # |u|^p for p = 1e20 once took p - 1 multiplications a block.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_EVOLVE.replace("p = 3", "p = 1e20").format(N=64, store_every=5))
+        done = subprocess.run([sys.executable, "-m", "sigmalab.cli", "evolve",
+                               "--config", str(cfg), "--out", str(tmp_path)],
+                              env=_ENV, capture_output=True, text=True, timeout=20)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert len((tmp_path / "evolve.csv").read_text().splitlines()) == 2 + 3
+
     def test_holds_neither_data_nor_previous_snapshot(self, tmp_path):
         """The command's traced peak stays within the solver's working set,
         counted from the grid, plus the snapshot being turned into its row,
@@ -379,19 +389,19 @@ _DECAY_FIT = (_MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
 #: scan as a success), with the command that reads them and a phrase of
 #: the config error they now give.
 BAD_CONFIGS = {
-    "unknown-theorem": ("admissible", "unknown theorem 'T9Z'",
+    "unknown-theorem": ("admissible", "case 'x': theorem = T9Z must be T2A, T2B",
                         "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\nq = 5\n"
                         "m = 1\nn = 3\ns = 0\n[case x]\ntheorem = T9Z\n"),
-    "which-K2": ("kernel-norm", "which must be K0 or K1",
+    "which-K2": ("kernel-norm", "sweep 's': which = K2 must be K0 or K1",
                  _MODEL_1D + _SWEEP.format(which="K2", band="low", points=5)),
-    "band-mid": ("kernel-norm", "band must be low, high or full",
+    "band-mid": ("kernel-norm", "band = mid must be low, high or full",
                  _MODEL_1D + _SWEEP.format(which="K1", band="mid", points=5)),
-    "three-points": ("kernel-norm", "points must be >= 5",
+    "three-points": ("kernel-norm", "points = 3 must be >= 5",
                      _MODEL_1D + _SWEEP.format(which="K1", band="low", points=3)),
-    "regime-medium": ("kernel-norm", "regime must be small_t or large_t",
+    "regime-medium": ("kernel-norm", "regime = medium_t must be small_t or large_t",
                       _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
                       .replace("small_t", "medium_t")),
-    "r-half": ("kernel-norm", "r must be >= 1",
+    "r-half": ("kernel-norm", "r = 1/2 must be >= 1",
                _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
                + "r = 1/2\n"),
     "kernel-n5": ("kernel-norm", "n = 1, 2 or 3",
@@ -403,7 +413,7 @@ BAD_CONFIGS = {
                       _EVOLVE.format(N=64, store_every=0)),
     "q-list-word": ("evolve", "bad value for 'q_list'",
                     _EVOLVE.format(N=64, store_every=1) + "q_list = two\n"),
-    "q-list-half": ("evolve", "every q in q_list must be >= 1",
+    "q-list-half": ("evolve", "evolve: q_list = 0.5 must be >= 1",
                     _EVOLVE.format(N=64, store_every=1) + "q_list = 2,1/2\n"),
     "q-list-duplicate": ("evolve", "q = 2 appears twice in q_list",
                          _EVOLVE.format(N=64, store_every=1)
@@ -417,25 +427,25 @@ BAD_CONFIGS = {
     "decay-t-min-0": ("decay-fit", "need 0 < t_min < t_max",
                       _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
                       "[time]\nt_min = 0\nt_max = 5\n"),
-    "decay-t-max-inf": ("decay-fit", "t_min and t_max must be finite",
+    "decay-t-max-inf": ("decay-fit", "decay-fit: t_max = inf must be finite",
                         _MODEL_1D + "q = 2\nm = 1\n[grid]\nL = 20\nN = 64\n"
                         "[time]\nt_min = 1\nt_max = 1e400\n"),
-    "kernel-t-max-inf": ("kernel-norm", "t_min and t_max must be finite",
+    "kernel-t-max-inf": ("kernel-norm", "sweep 's': t_max = inf must be finite",
                          _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
                          .replace("t_max = 0.5", "t_max = 1e400")),
-    "kernel-t-min-nan": ("kernel-norm", "t_min and t_max must be finite",
+    "kernel-t-min-nan": ("kernel-norm", "sweep 's': t_min = nan must be finite",
                          _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
                          .replace("t_min = 0.02", "t_min = nan")),
-    "a-negative": ("kernel-norm", "a must be >= 0",
+    "a-negative": ("kernel-norm", "sweep 's': a = -1 must be >= 0",
                    _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
                    + "a = -1\n"),
     "duhamel-times-word": ("toolkit", "bad value for 'duhamel_times'",
                            "[toolkit]\nduhamel_times = 10,ten\n"),
-    "duhamel-times-negative": ("toolkit", "duhamel_times must be positive",
+    "duhamel-times-negative": ("toolkit", "toolkit: duhamel_times = -5 must be positive",
                                "[toolkit]\nduhamel_times = -5,10\n"),
-    "bell-max-30": ("toolkit", "bell_max must be in 1..20",
+    "bell-max-30": ("toolkit", "toolkit: bell_max = 30 must be in 1..20",
                     "[toolkit]\nbell_max = 30\n"),
-    "alpha-step-0": ("toolkit", "alpha_step must be positive",
+    "alpha-step-0": ("toolkit", "toolkit: alpha_step = 0 must be positive",
                      "[toolkit]\nalpha_step = 0\n"),
     "evolve-width-0": ("evolve", "width = 0.0 must be finite and positive",
                        _EVOLVE.format(N=64, store_every=1)
@@ -445,7 +455,7 @@ BAD_CONFIGS = {
                           "[time]\nt_min = 1\nt_max = 5\n[data]\nwidth = 0\n"),
     "gevrey-width-0": ("gevrey", "width = 0.0 must be finite and positive",
                        _GEVREY.format(points=5) + "[data]\nwidth = 0\n"),
-    "gevrey-points-0": ("gevrey", "points must be >= 2",
+    "gevrey-points-0": ("gevrey", "gevrey: points = 0 must be >= 2",
                         _GEVREY.format(points=0)),
     "gevrey-c-negative": ("gevrey", "c = -1 must be positive",
                           _GEVREY.format(points=5) + "c = -1\n"),
@@ -496,6 +506,22 @@ BAD_CONFIGS = {
                         "N = 64\n"),
     "gevrey-L-inf": ("gevrey", "L = inf must be finite and positive",
                      _GEVREY.replace("L = 20", "L = 1e400").format(points=5)),
+    "evolve-t-end-inf": ("evolve", "need dt > 0 and t_end / dt finite, not "
+                         "t_end = inf, dt = 0.1",
+                         _EVOLVE.replace("t_end = 1", "t_end = inf")
+                         .format(N=64, store_every=1)),
+    "evolve-t-end-nan": ("evolve", "need dt > 0 and t_end / dt finite, not "
+                         "t_end = nan, dt = 0.1",
+                         _EVOLVE.replace("t_end = 1", "t_end = nan")
+                         .format(N=64, store_every=1)),
+    "evolve-dt-nan": ("evolve", "need dt > 0 and t_end / dt finite, not "
+                      "t_end = 1, dt = nan",
+                      _EVOLVE.replace("dt = 0.1", "dt = nan")
+                      .format(N=64, store_every=1)),
+    # 1e-400 is a valid exact delta, but the kernels would run with 0.0.
+    "kernel-delta-tiny": ("kernel-norm", "delta is too small for a float",
+                          _MODEL_1D.replace("delta = 1/4", "delta = 1e-400")
+                          + _SWEEP.format(which="K1", band="low", points=5)),
     # The [admissible] theorems list is gone; it once dropped silently
     # when a [case] section was present.
     "admissible-section": ("admissible", "unknown config section [admissible]",
@@ -542,6 +568,111 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert "config error" in err and message in err
         assert "Traceback" not in err
+
+
+#: A small valid config of each command, in which a domain test sets
+#: one value.
+_DOMAIN_BASES = {
+    "admissible": "[model]\nsigma = 2\ndelta = 9/10\nmu = 1\nq = 5\nm = 1\n"
+                  "n = 3\ns = 0\n[case c]\ntheorem = T2A\n",
+    "decay-fit": _DECAY_FIT,
+    "kernel-norm": _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5),
+    "evolve": _EVOLVE.format(N=64, store_every=1),
+    "gevrey": _GEVREY.format(points=5),
+    "toolkit": "[toolkit]\nbell_max = 2\nalpha_max = 0\n",
+}
+
+#: The values tried, in turn, for one outside a key's domain.
+_HOSTILE = ("0", "-1", "nan", "inf", "bogus")
+
+#: (command, section, key) of every key of cli's tables with a domain.
+DOMAIN_KEYS = [(command, section, key)
+               for command, table in cli._KEYS.items()
+               for section, keys in table.items()
+               for key, row in keys.items() if row.domain is not None]
+
+
+def _outside(row):
+    """The first value of _HOSTILE that converts and breaks the domain."""
+    for text in _HOSTILE:
+        try:
+            value = [row.conv(text)] if row.each else row.conv(text)
+        except ValueError:
+            continue
+        if not all(map(row.domain.ok, value if row.each else [value])):
+            return text
+    raise AssertionError(f"each of {_HOSTILE} meets {row.domain.phrase!r}")
+
+
+class TestKeyDomains:
+    """Every domain of the key tables, a key added later included."""
+
+    @pytest.mark.parametrize("command,section,key", DOMAIN_KEYS,
+                             ids=["-".join(k.split()[0] for k in case)
+                                  for case in DOMAIN_KEYS])
+    def test_value_outside_domain_is_config_error(self, tmp_path, capsys,
+                                                  command, section, key):
+        value = _outside(cli._KEYS[command][section][key])
+        base = tmp_path / "base.ini"
+        base.write_text(_DOMAIN_BASES[command])
+        sections = cli._load_config(str(base))
+        if section.endswith(" NAME"):
+            section = next(s for s in sections if s.startswith(section[:-4]))
+        sections.setdefault(section, {})[key] = value
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("".join(f"[{name}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in sections.items()))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and f": {key} = " in err, err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_key_tables():
+    """{name: [(section, key, default, domain)]} of the README's key
+    tables, each under a `#### `name`` heading."""
+    tables, name = {}, None
+    for line in _README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#### `"):
+            name = line.split("`")[1]
+            tables[name] = []
+        elif name and line.startswith("| `["):
+            section, key, default, domain = (
+                cell.strip() for cell in line.strip("|").split("|"))
+            tables[name].append((section.strip("`[]"), key.strip("`"), default,
+                                 domain))
+    return tables
+
+
+def _table_rows(sections):
+    """(section, key, default cell) of each key of cli's `sections`."""
+    return [(section, key, {None: "—", cli._REQUIRED: "required"}.get(
+                row.default, f"`{row.default}`"))
+            for section, keys in sections.items() for key, row in keys.items()]
+
+
+class TestReadmeKeyTables:
+    def test_tables_list_the_keys_and_defaults_of_cli(self):
+        tables = _readme_key_tables()
+        assert set(tables) == {"[model]", *cli._KEYS}
+        assert [row[:3] for row in tables["[model]"]] == _table_rows(
+            {"model": cli._MODEL})
+        for command, table in cli._KEYS.items():
+            assert table["model"] is cli._MODEL
+            rest = {s: keys for s, keys in table.items() if s != "model"}
+            assert [row[:3] for row in tables[command]] == _table_rows(rest)
+            for section, key, _, domain in tables[command]:
+                row = rest[section][key]
+                if row.domain is not None:
+                    assert domain == ("each " if row.each else "") + (
+                        row.domain.phrase.removeprefix("must be "))
 
 
 @pytest.fixture(scope="class")
@@ -803,9 +934,7 @@ class TestUsageErrors:
 
     def test_process_exit_code(self, tmp_path):
         # argparse's own exit code for a usage error is 2, a failed check.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "sigmalab.cli"], env=env,
+        done = subprocess.run([sys.executable, "-m", "sigmalab.cli"], env=_ENV,
                               cwd=tmp_path, capture_output=True, text=True,
                               timeout=60)
         assert done.returncode == EXIT_CONFIG
@@ -826,18 +955,19 @@ class TestDeterminism:
 
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
+#: The environment of a fresh interpreter that imports this sigmalab.
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def _run_fresh(code: str, tmp_path, watch=("scipy", "configparser")) -> list[str]:
     """Run `code` in a fresh interpreter with sigmalab on its path; return
     the packages in `watch` and their submodules loaded at its end."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
     script = (f"import json, sys\nout = {str(tmp_path)!r}\nwatch = {tuple(watch)!r}\n"
               f"{code}\n"
               "print(json.dumps(sorted(m for m in sys.modules if m in watch "
               "or m.startswith(tuple(w + '.' for w in watch)))))\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_ENV,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])

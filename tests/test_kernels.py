@@ -169,6 +169,16 @@ class TestKernelNorms:
         fit = fit_power_law(list(zip(ts, vals)), (0.04, 0.5))
         assert fit.exponent == pytest.approx(-2.0, rel=0.05)
 
+    @pytest.mark.parametrize("t", [132.5, 132.77708, 133.0])
+    def test_single_alive_probe_follows_the_power_law(self, t):
+        # At these t one oscillation probe alone is alive, and the
+        # frequency hint once raised IndexError from np.gradient.
+        norms = {s: kernel_lr_norm("K0", 1.0, s, 1.0, P_SMALL, 1, band="full")
+                 for s in (120.0, 150.0, t)}
+        slope = math.log(norms[150.0] / norms[120.0]) / math.log(150.0 / 120.0)
+        law = norms[120.0] * (t / 120.0) ** slope
+        assert norms[t] == pytest.approx(law, rel=1e-3)
+
     def test_invalid_r_rejected(self):
         with pytest.raises(ValueError):
             kernel_lr_norm("K0", 0.0, 1.0, 0.5, P_SMALL, 1)
