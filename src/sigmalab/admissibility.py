@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import ceil
+from math import gcd
 from typing import Optional
 
 from .params import ModelParams, require_valid, threshold_n0, threshold_n1
@@ -50,17 +50,12 @@ class TheoremId(str, Enum):
     T6A = "T6A"
     T6B = "T6B"
 
-    @property
-    def family(self) -> int:
-        """2..6, the theorem number."""
-        return int(self.value[1])
-
-    @property
-    def is_b(self) -> bool:
-        return self.value.endswith("B")
+    def __init__(self, value: str):
+        self.family = int(value[1])  # 2..6, the theorem number
+        self.is_b = value.endswith("B")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endpoint:
     """One interval endpoint with provenance."""
 
@@ -73,7 +68,7 @@ class Endpoint:
         return self.value is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """A named hypothesis with its role and whether it shaped the result."""
 
@@ -83,7 +78,7 @@ class Constraint:
     active: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibleInterval:
     lower: Optional[Endpoint]
     upper: Optional[Endpoint]
@@ -103,27 +98,69 @@ class AdmissibleInterval:
         return True
 
 
-def _structural_bound(theorem: TheoremId, params: ModelParams) -> Optional[Fraction]:
-    """Exact structural lower bound for p, or None when no finite bound exists
-    (nonpositive denominator)."""
-    sigma, delta = params.sigma, params.delta
-    n, q, m, s = params.n, params.q, params.m, params.s
-    fam = theorem.family
-    if fam == 6:
-        den = n - 2 * m * (sigma - 2 * delta)
-        if den <= 0:
-            return None
-        num = max(n - (m / q) * n + m * (s - 2 * delta), 2 * m * (2 * sigma - 3 * delta))
-        return 1 + num / den
-    den = n - 2 * m * (sigma - delta)
-    if den <= 0:
+#: The upper endpoint of a window that has no finite one.
+_NO_UPPER = Endpoint(None, False, "GN window")
+
+
+def _ratios(params: ModelParams) -> tuple[int, ...]:
+    """(a, A, b, B, qn, qd, mn, md, tn, td): sigma = a/A, delta = b/B,
+    q = qn/qd, m = mn/md and s = tn/td with positive denominators, so
+    that a/b < c/d is decided as a d < c b."""
+    return (*params.sigma.as_integer_ratio(), *params.delta.as_integer_ratio(),
+            *params.q.as_integer_ratio(), *params.m.as_integer_ratio(),
+            *params.s.as_integer_ratio())
+
+
+def _text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _structural_bound(fam: int, n: int, r: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """(numerator, denominator > 0) of the structural lower bound for p, or
+    None if the denominator is <= 0: 1 + max{n - (m/q) n + m z, m k} / (n - m j),
+    (z, k, j) = (sigma, 4(sigma-delta), 2(sigma-delta)) in family 2, (s, ...) in
+    3-5 and (s - 2 delta, 2(2 sigma - 3 delta), 2(sigma - 2 delta)) in 6."""
+    a, A, b, B, qn, qd, mn, md, tn, td = r
+    if fam == 6:  # k and j over A B, z = Z / ZD
+        J, K = 2 * (a * B - 2 * b * A), 2 * (2 * a * B - 3 * b * A)
+        Z, ZD = tn * B - 2 * b * td, td * B
+    else:
+        J = 2 * (a * B - b * A)
+        K, (Z, ZD) = 2 * J, (a, A) if fam == 2 else (tn, td)
+    Y = n * md * A * B - mn * J  # the denominator, over md A B
+    if Y <= 0:
         return None
-    smooth = sigma if fam == 2 else s
-    num = max(n - (m / q) * n + m * smooth, 4 * m * (sigma - delta))
-    if fam == 4:
-        # Worked-example arithmetic: no additive unit (see module docstring).
-        return num / den
-    return 1 + num / den
+    X = max((n * (qn * md - mn * qd) * ZD + mn * Z * qn) * A * B,  # over md qn ZD A B
+            mn * K * qn * ZD)
+    D = qn * ZD * Y  # so that the quotient is X / D
+    return (X if fam == 4 else X + D), D  # family 4: no unit (module docstring)
+
+
+def _window(fam: int, n: int, r: tuple[int, ...]
+            ) -> tuple[Optional[Endpoint], Optional[str], tuple[Constraint, ...]]:
+    """gn_window from the _ratios r: its upper endpoint (None when the
+    window is empty), the reason it is empty, and its constraints (the
+    dimension gate of families 5 and 6).  Needs m < q."""
+    a, A, b, B, qn, qd, mn, md, tn, td = r
+    if fam >= 5:
+        J = 2 * (a * B - b * A) if fam == 5 else 2 * (a * B - 2 * b * A)
+        name = "n > 2m(sigma-delta)" if fam == 5 else "n > 2m(sigma-2delta)"
+        ok = n * md * A * B > mn * J  # the gate value is mn J / (md A B)
+        gate = Constraint(name, "gate", f"n = {n} vs {_text(mn * J, md * A * B)}", not ok)
+        return (_NO_UPPER, None, (gate,)) if ok else (None, f"gate {name}", (gate,))
+    Z, ZD = (a, A) if fam == 2 else (tn, td)  # smooth, s in family 4
+    P = n * qd * ZD - qn * Z  # n - q smooth, over qd ZD
+    if P <= 0:
+        return _NO_UPPER, None, ()
+    G = qn * md - mn * qd  # q - m > 0, over qd md
+    if fam < 4 and P * G <= qn * mn * qd * Z:  # n <= q^2 smooth / (q - m)
+        return Endpoint(Fraction(n * qd * ZD, P), True, "GN window upper"), None, ()
+    if fam == 4 and P * G * A <= qn * mn * qd * a * td:  # n <= q s + q m sigma / (q - m)
+        upper = Fraction(A * P + qn * a * td, A * P)  # 1 + q sigma / (n - q s)
+        return Endpoint(upper, True, "GN window upper"), None, ()
+    return None, "n beyond GN dimension band", ()
 
 
 def gn_window(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
@@ -135,139 +172,100 @@ def gn_window(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
     Family 4: p in [q/m, inf) if n <= q s, or [q/m, 1 + q sigma/(n - q s)]
     if n in (q s, q s + q m sigma/(q-m)].
     Families 5/6: p in [q/m, inf) with the dimension gates
-    n > 2 m (sigma - delta) resp. n > 2 m (sigma - 2 delta).
+    n > 2 m (sigma - delta) resp. n > 2 m (sigma - 2 delta).  Raises
+    ValueError as admissible_interval does.
     """
-    theorem = TheoremId(theorem)
-    sigma, delta = params.sigma, params.delta
-    n, q, m, s = params.n, params.q, params.m, params.s
-    fam = theorem.family
-    lower = Endpoint(value=q / m, closed=True, source="GN window lower q/m")
-    constraints: list[Constraint] = []
-
-    if fam in (2, 3):
-        smooth = sigma if fam == 2 else s
-        if n <= q * smooth:
-            return AdmissibleInterval(lower, Endpoint(None, False, "GN window"), False,
-                                      active_constraints=tuple(constraints))
-        if n <= q * q * smooth / (q - m):
-            upper = Endpoint(n / (n - q * smooth), True, "GN window upper")
-            return AdmissibleInterval(lower, upper, False,
-                                      active_constraints=tuple(constraints))
-        return AdmissibleInterval(None, None, True,
-                                  empty_reason="n beyond GN dimension band")
-    if fam == 4:
-        if n <= q * s:
-            return AdmissibleInterval(lower, Endpoint(None, False, "GN window"), False)
-        if n <= q * s + q * m * sigma / (q - m):
-            upper = Endpoint(1 + q * sigma / (n - q * s), True, "GN window upper")
-            return AdmissibleInterval(lower, upper, False)
-        return AdmissibleInterval(None, None, True,
-                                  empty_reason="n beyond GN dimension band")
-    # families 5 and 6: dimension gate, no upper endpoint
-    gate_val = 2 * m * (sigma - delta) if fam == 5 else 2 * m * (sigma - 2 * delta)
-    gate_name = ("n > 2m(sigma-delta)" if fam == 5 else "n > 2m(sigma-2delta)")
-    ok = n > gate_val
-    constraints.append(Constraint(gate_name, "gate", f"n = {n} vs {gate_val}", not ok))
-    if not ok:
-        return AdmissibleInterval(None, None, True, empty_reason=f"gate {gate_name}",
-                                  active_constraints=tuple(constraints))
-    return AdmissibleInterval(lower, Endpoint(None, False, "GN window"), False,
-                              active_constraints=tuple(constraints))
+    require_valid(params)
+    upper, reason, gates = _window(TheoremId(theorem).family, params.n, _ratios(params))
+    if upper is None:
+        return AdmissibleInterval(None, None, True, reason, gates)
+    lower = Endpoint(params.q / params.m, True, "GN window lower q/m")
+    return AdmissibleInterval(lower, upper, False, None, gates)
 
 
 def admissible_interval(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
     """Full admissible p-interval: intersection of every hypothesis of the theorem.
 
     Raises ValueError naming the violations when the parameters break a
-    standing assumption.
+    standing assumption.  Bounds are compared as integer cross-products
+    (_ratios); a Fraction is built only for a returned endpoint.
     """
     theorem = TheoremId(theorem)
     require_valid(params)
-    sigma = params.sigma
-    n, q, s = params.n, params.q, params.s
-    fam = theorem.family
+    r = a, A, b, B, qn, qd, mn, md, tn, td = _ratios(params)
+    n, fam, is_b = params.n, theorem.family, theorem.is_b
     constraints: list[Constraint] = []
 
     # --- gates ---------------------------------------------------------
     def gate(label: str, ok: bool, detail: str) -> Optional[AdmissibleInterval]:
-        constraints.append(Constraint(label, "gate", detail, active=not ok))
-        if not ok:
-            return AdmissibleInterval(None, None, True, empty_reason=f"gate: {label}",
-                                      active_constraints=tuple(constraints))
-        return None
+        constraints.append(Constraint(label, "gate", detail, not ok))
+        return None if ok else AdmissibleInterval(None, None, True, f"gate: {label}",
+                                                  tuple(constraints))
 
-    if theorem.is_b:
+    if is_b:
         n1 = threshold_n1(params)
-        failed = gate("n > n1", n > n1, f"n = {n}, n1 = {n1}")
+        failed = gate("n > n1", n * n1.denominator > n1.numerator, f"n = {n}, n1 = {n1}")
     else:
         half, n0 = n // 2, threshold_n0(params)
-        failed = gate("parabolic band floor(n/2) < n0", half < n0,
+        failed = gate("parabolic band floor(n/2) < n0",
+                      half * n0.denominator < n0.numerator,
                       f"floor(n/2) = {half}, n0 = {n0}")
     if failed:
         return failed
 
+    top, top_d = a * qn + n * qd * A, A * qn  # sigma + n/q
     if fam == 3:
-        failed = gate("0 < s < sigma", 0 < s < sigma, f"s = {s}, sigma = {sigma}")
+        failed = gate("0 < s < sigma", 0 < tn and tn * A < a * td,
+                      f"s = {params.s}, sigma = {params.sigma}")
     elif fam == 4:
-        top = sigma + Fraction(n) / q
-        failed = gate("sigma < s <= sigma + n/q", sigma < s <= top,
-                      f"s = {s}, sigma + n/q = {top}")
-    elif fam in (5, 6):
-        top = sigma + Fraction(n) / q
-        failed = gate("s > sigma + n/q", s > top, f"s = {s}, sigma + n/q = {top}")
+        failed = gate("sigma < s <= sigma + n/q",
+                      a * td < tn * A and tn * top_d <= top * td,
+                      f"s = {params.s}, sigma + n/q = {_text(top, top_d)}")
+    elif fam >= 5:
+        failed = gate("s > sigma + n/q", tn * top_d > top * td,
+                      f"s = {params.s}, sigma + n/q = {_text(top, top_d)}")
     if failed:
         return failed
 
-    # --- candidate lower bounds ---------------------------------------
-    # Each entry: (value, closed, label).
-    lowers: list[tuple[Fraction, bool, str]] = []
-
-    if not theorem.is_b:
-        bound = _structural_bound(theorem, params)
+    # --- candidate lower bounds: (numerator, denominator > 0, closed, label)
+    lowers: list[tuple[int, int, bool, str]] = []
+    if not is_b:
+        bound = _structural_bound(fam, n, r)
         if bound is None:
             constraints.append(Constraint("structural exponent bound", "gate",
                                           "no finite bound (denominator <= 0)", True))
             return AdmissibleInterval(None, None, True,
-                                      empty_reason="structural bound denominator <= 0",
-                                      active_constraints=tuple(constraints))
-        lowers.append((bound, False, "structural exponent bound"))
+                                      "structural bound denominator <= 0",
+                                      tuple(constraints))
+        lowers.append((*bound, False, "structural exponent bound"))
+    if fam == 4:  # 1 + ceil(s - sigma), s - sigma = (tn A - a td) / (td A)
+        lowers.append((1 - (a * td - tn * A) // (td * A), 1, False,
+                       "regularity p > 1 + ceil(s - sigma)"))
+    elif fam >= 5:
+        lowers.append(((td + tn) * A - a * td, td * A, False,
+                       "regularity p > 1 + s - sigma"))
 
-    if fam == 4:
-        reg = 1 + ceil(s - sigma)
-        lowers.append((Fraction(reg), False, "regularity p > 1 + ceil(s - sigma)"))
-    elif fam in (5, 6):
-        lowers.append((1 + s - sigma, False, "regularity p > 1 + s - sigma"))
-
-    window = gn_window(theorem, params)
-    constraints.extend(window.active_constraints)
-    if window.empty:
-        return AdmissibleInterval(None, None, True, empty_reason=window.empty_reason,
-                                  active_constraints=tuple(constraints))
-    assert window.lower is not None and window.lower.value is not None
-    lowers.append((window.lower.value, True, window.lower.source))
+    upper, reason, window_gates = _window(fam, n, r)
+    constraints.extend(window_gates)
+    if upper is None:
+        return AdmissibleInterval(None, None, True, reason, tuple(constraints))
+    lowers.append((qn * md, qd * mn, True, "GN window lower q/m"))
 
     # --- aggregate -----------------------------------------------------
-    # Most restrictive lower bound; at equal values an open bound beats
-    # a closed one.
-    best_value = max(v for v, _, _ in lowers)
-    open_at_best = [lab for v, c, lab in lowers if v == best_value and not c]
-    closed_at_best = [lab for v, c, lab in lowers if v == best_value and c]
-    closed = not open_at_best
-    source = (open_at_best or closed_at_best)[0]
-    lower = Endpoint(best_value, closed, source)
-
-    upper = window.upper
-    for v, c, lab in lowers:
-        constraints.append(Constraint(lab, "lower", str(v), active=(v == best_value)))
-    if upper is not None and not upper.infinite:
-        constraints.append(Constraint(upper.source, "upper", str(upper.value), True))
-
-    if upper is not None and upper.value is not None:
-        if upper.value < lower.value or (
-                upper.value == lower.value and not (upper.closed and lower.closed)):
-            return AdmissibleInterval(lower, upper, True,
-                                      empty_reason="lower bound exceeds GN upper endpoint",
-                                      active_constraints=tuple(constraints))
-    return AdmissibleInterval(lower, upper, False,
-                              active_constraints=tuple(constraints))
-
+    # Most restrictive lower bound; at equal values an open bound beats a
+    # closed one, and the one closed bound (q/m) is last: the first largest wins.
+    bn, bd, closed, source = lowers[0]
+    for low in lowers[1:]:
+        if low[0] * bd > bn * low[1]:
+            bn, bd, closed, source = low
+    for num, den, _, label in lowers:
+        constraints.append(Constraint(label, "lower", _text(num, den),
+                                      num * bd == bn * den))
+    lower = Endpoint(Fraction(bn, bd), closed, source)
+    if upper is _NO_UPPER:
+        return AdmissibleInterval(lower, upper, False, None, tuple(constraints))
+    constraints.append(Constraint(upper.source, "upper", str(upper.value), True))
+    un, ud = upper.value.as_integer_ratio()  # a closed endpoint
+    empty = un * bd < bn * ud or (un * bd == bn * ud and not closed)
+    reason = "lower bound exceeds GN upper endpoint" if empty else None
+    return AdmissibleInterval(lower, upper, empty, reason, tuple(constraints))

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -68,30 +69,35 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
     merged into each other section."""
     sections: dict[str, dict[str, str]] = {}
     entries = None
+    lineno = 0
+
+    def bad(message: str) -> ConfigError:  # formats the location only on an error
+        return ConfigError(f"{path!r} line {lineno}: {message}")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 value = line.strip()
                 if not value or value[0] in "#;":
                     continue
-                where = f"{path!r} line {lineno}"
                 if line[0].isspace():
-                    raise ConfigError(f"{where}: indented (continuation) line")
+                    raise bad("indented (continuation) line")
                 if value[0] == "[" and value[-1] == "]" and len(value) > 2:
                     if value[1:-1] in sections:
-                        raise ConfigError(f"{where}: duplicate section {value}")
+                        raise bad(f"duplicate section {value}")
                     entries = sections[value[1:-1]] = {}
                     continue
                 if entries is None:
-                    raise ConfigError(f"{where}: key before any [section]")
-                eq, colon = value.find("="), value.find(":")
-                cut = eq if colon < 0 or 0 <= eq < colon else colon
-                if cut <= 0:
-                    raise ConfigError(f"{where}: expected [section] or key = value")
-                key = sys.intern(value[:cut].rstrip())
+                    raise bad("key before any [section]")
+                key, eq, text = value.partition("=")
+                if ":" in key:
+                    key, eq, text = value.partition(":")
+                if not (eq and key):
+                    raise bad("expected [section] or key = value")
+                key = sys.intern(key.rstrip())
                 if key in entries:
-                    raise ConfigError(f"{where}: duplicate key {key!r}")
-                entries[key] = value[cut + 1:].strip()
+                    raise bad(f"duplicate key {key!r}")
+                entries[key] = text.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     defaults = sections.pop("DEFAULT", None)
@@ -241,8 +247,8 @@ def _read(cfg: dict[str, dict[str, str]], command: str) -> dict:
     named = set()
     for section in cfg:
         prefix, _, name = section.partition(" ")
-        if name and f"{prefix} NAME" in table:
-            named.add(f"{prefix} NAME")
+        if name and (pattern := f"{prefix} NAME") in table:
+            named.add(pattern)
         elif section not in table:
             raise ConfigError(f"unknown config section [{section}]")
     values = {}
@@ -259,7 +265,7 @@ def _read(cfg: dict[str, dict[str, str]], command: str) -> dict:
 
 def _model_from(values: dict) -> ModelParams:
     """Valid ModelParams of the [model] values, each nonzero value a
-    nonzero finite float (the float-using commands read the float views)."""
+    normal float (the float-using commands read the float views)."""
     params = ModelParams.make(**values)
     report = validate(params)
     if not report.ok:
@@ -267,7 +273,7 @@ def _model_from(values: dict) -> ModelParams:
     for key in _MODEL:
         value = getattr(params, key) or 0
         try:
-            if value and not float(value):
+            if value and abs(float(value)) < sys.float_info.min:
                 raise ConfigError(f"invalid model parameters: {key} is too small "
                                   "for a float")
         except OverflowError:
@@ -300,9 +306,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_model_values = attrgetter(*_MODEL)
+
+
 def _params_cells(params: ModelParams) -> dict[str, str]:
-    return {key: "" if (value := getattr(params, key)) is None else str(value)
-            for key in _MODEL}
+    return {key: "" if value is None else str(value)
+            for key, value in zip(_MODEL, _model_values(params))}
 
 
 def _csv_lines(fieldnames: list[str]) -> tuple[list[str], Callable]:
@@ -351,12 +360,14 @@ def cmd_admissible(cfg, out_dir, strict) -> int:
               "interval", "empty", "gate_failed", "empty_reason"]
     # Each case is validated, once, by admissible_interval as it is
     # parsed, and leaves its CSV and NDJSON lines; the files are written
-    # only after every case has passed.
+    # only after every case has passed.  An NDJSON line is what json.dumps
+    # writes of the row's dict, with the string encoder json.dumps uses.
     csv_lines, writerow = _csv_lines(fields)
+    json_keys = [f"{_json_str(key)}: " for key in fields]
     json_lines = []
     gate_failures = 0
     for name, case in config["case NAME"]:
-        theorem = TheoremId(case.pop("theorem"))
+        theorem = case.pop("theorem")  # a TheoremId value, as its domain checks
         params = ModelParams.make(**{**config["model"], **case})
         try:
             interval = admissible_interval(theorem, params)
@@ -365,11 +376,12 @@ def cmd_admissible(cfg, out_dir, strict) -> int:
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed
-        cells = [name, theorem.value, *_params_cells(params).values(),
-                 _interval_text(interval), str(int(interval.empty)),
-                 str(int(gate_failed)), interval.empty_reason or ""]
+        cells = [name, theorem, *_params_cells(params).values(),
+                 _interval_text(interval), "1" if interval.empty else "0",
+                 "1" if gate_failed else "0", interval.empty_reason or ""]
         writerow(cells)
-        json_lines.append(json.dumps(dict(zip(fields, cells))) + "\n")
+        json_lines.append("{" + ", ".join([key + _json_str(cell) for key, cell
+                                           in zip(json_keys, cells)]) + "}\n")
     _write_lines(os.path.join(out_dir, "admissible.csv"), csv_lines)
     _write_lines(os.path.join(out_dir, "admissible.ndjson"), json_lines)
     if strict and gate_failures:
@@ -575,6 +587,10 @@ def cmd_gevrey(cfg, out_dir) -> int:
     return EXIT_ASSERT if violations else EXIT_OK
 
 
+#: The most alpha (and beta) values of the toolkit's Duhamel grid.
+_ALPHA_POINTS = 100
+
+
 def cmd_toolkit(cfg, out_dir, strict) -> int:
     (bell_max, times, alpha_max, alpha_step,
      ratio_bound) = _read(cfg, "toolkit")["toolkit"].values()
@@ -585,6 +601,9 @@ def cmd_toolkit(cfg, out_dir, strict) -> int:
         rows.append({"kind": "bell", "n": order, "count": len(parts),
                      "coeff_sum": sum(p.coefficient for p in parts)})
     violations = 0
+    if (alpha_max + 1e-9) / alpha_step > _ALPHA_POINTS:  # the length np.arange takes
+        raise ConfigError(f"toolkit: alpha_max / alpha_step = {alpha_max / alpha_step:g} "
+                          f"asks for more than {_ALPHA_POINTS} alpha (and beta) values")
     grid_vals = np.arange(0.0, alpha_max + 1e-9, alpha_step)
     for alpha in grid_vals:
         for beta in grid_vals:

@@ -32,12 +32,15 @@ def as_fraction(value: RationalLike | float) -> Fraction:
     converted exactly (callers who want a nice rational should pass a
     string or Fraction).
     """
-    if isinstance(value, Fraction):
+    # Exact types first: isinstance(x, Fraction), an ABC, is slow for a str.
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return _parse_fraction(value)
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
@@ -51,7 +54,7 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """The tuple (sigma, delta, mu, n, q, m, s, p) driving every formula.
 
@@ -96,16 +99,9 @@ class ModelParams:
         p: Optional[RationalLike] = None,
     ) -> "ModelParams":
         """Build ModelParams, coercing every entry to an exact Fraction."""
-        return ModelParams(
-            sigma=as_fraction(sigma),
-            delta=as_fraction(delta),
-            mu=as_fraction(mu),
-            n=int(n),
-            q=as_fraction(q),
-            m=as_fraction(m),
-            s=as_fraction(s),
-            p=None if p is None else as_fraction(p),
-        )
+        return ModelParams(as_fraction(sigma), as_fraction(delta), as_fraction(mu),
+                           int(n), as_fraction(q), as_fraction(m), as_fraction(s),
+                           None if p is None else as_fraction(p))
 
     # Float views, convenient for the numerical modules.
     @property
@@ -121,7 +117,7 @@ class ModelParams:
         return float(self.mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Outcome of parameter validation.
 
@@ -136,23 +132,24 @@ class ValidationReport:
         return self.ok
 
 
+_VALID = ValidationReport(True)
+
+
 def threshold_n0(params: ModelParams) -> Fraction:
     """Dimension threshold n0 = (6 delta - 2 sigma) / (sigma - 2 delta)
     of the parabolic band floor(n/2) < n0; needs delta < sigma/2."""
-    sigma, delta = params.sigma, params.delta
-    # Both terms scaled by the product of the two denominators: one
-    # Fraction of two integers instead of six Fraction operations, as
-    # every A-variant admissibility case computes n0.
-    a = sigma.numerator * delta.denominator
-    b = delta.numerator * sigma.denominator
-    return Fraction(6 * b - 2 * a, a - 2 * b)
+    # Both terms over the product A B of the two denominators.
+    (a, A), (b, B) = params.sigma.as_integer_ratio(), params.delta.as_integer_ratio()
+    return Fraction(6 * b * A - 2 * a * B, a * B - 2 * b * A)
 
 
 def threshold_n1(params: ModelParams) -> Fraction:
     """Loss-of-decay dimension threshold n1 = 4 m q (sigma - delta) / (q - m)
     of the B-variant gate n > n1; needs m < q."""
-    q, m = params.q, params.m
-    return 4 * m * q * (params.sigma - params.delta) / (q - m)
+    (a, A), (b, B) = params.sigma.as_integer_ratio(), params.delta.as_integer_ratio()
+    (qn, qd), (mn, md) = params.q.as_integer_ratio(), params.m.as_integer_ratio()
+    # m q / (q - m) = mn qn / (qn md - mn qd), and sigma - delta = (a B - b A) / (A B).
+    return Fraction(4 * mn * qn * (a * B - b * A), A * B * (qn * md - mn * qd))
 
 
 def require_valid(params: ModelParams) -> None:
@@ -169,26 +166,29 @@ def validate(params: ModelParams) -> ValidationReport:
     it only restricts which existence theorems apply (the A-variants),
     and parameters outside that band are still perfectly valid for the
     linear theory and for the B-variant theorems.  parabolic_band_holds
-    tests it.
+    tests it.  Each comparison a/b < c/d is made as a d < c b on the
+    integer numerators and denominators (the denominators are positive).
     """
+    (a, A), (b, B) = params.sigma.as_integer_ratio(), params.delta.as_integer_ratio()
+    (qn, qd), (mn, md) = params.q.as_integer_ratio(), params.m.as_integer_ratio()
     violations: list[str] = []
-    if params.sigma < 1:
+    if a < A:
         violations.append("sigma >= 1 violated")
-    if not (0 < params.delta < params.sigma / 2):
+    if not 0 < 2 * b * A < a * B:
         violations.append("delta in (0, sigma/2) violated")
-    if params.mu <= 0:
+    if params.mu.numerator <= 0:
         violations.append("mu > 0 violated")
     if params.n < 1:
         violations.append("n >= 1 violated")
-    if params.q <= 1:
+    if qn <= qd:
         violations.append("q > 1 violated")
-    if not (1 <= params.m < params.q):
+    if not (md <= mn and mn * qd < qn * md):
         violations.append("1 <= m < q violated")
-    if params.s < 0:
+    if params.s.numerator < 0:
         violations.append("s >= 0 violated")
-    if params.p is not None and params.p <= 1:
+    if params.p is not None and params.p.numerator <= params.p.denominator:
         violations.append("p > 1 violated")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 def parabolic_band_holds(params: ModelParams) -> bool:

@@ -55,6 +55,10 @@ class TorusGrid:
             raise ValueError("N must be a power of two >= 16")
         if not (np.isfinite(self.L) and self.L > 0):
             raise ValueError(f"L = {self.L} must be finite and positive")
+        # rfftfreq divides by dx, and rho_rows reaches pi N / (2 L).
+        if not (self.dx >= np.finfo(np.float64).tiny and np.isfinite(np.pi / self.L)):
+            raise ValueError(f"L = {self.L} gives a grid step 2 L / N or a "
+                             "frequency pi / L out of the normal float range")
 
     @property
     def dx(self) -> float:
@@ -138,10 +142,13 @@ def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
     """Centered Gaussian amplitude * exp(-|x|^2 / width^2) on the lattice.
 
     Raises ValueError unless width is finite and positive (width = 0
-    would put 0/0 = NaN at the origin) and amplitude is finite.
+    would put 0/0 = NaN at the origin), width^2 is finite and amplitude
+    is finite.
     """
     if not (np.isfinite(width) and width > 0):
         raise ValueError(f"width = {width} must be finite and positive")
+    if not np.isfinite(width * width):
+        raise ValueError(f"width = {width} is too large to square")
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude = {amplitude} must be finite")
     mesh = grid.meshgrid()
@@ -166,6 +173,10 @@ def linear_evolve(data: Snapshot, t: float, params: ModelParams) -> Snapshot:
 #: Samples per row block in which semilinear_solve takes |u|^p; its
 #: diagonal passes run in chunks of an eighth of that.
 _BLOCK_SAMPLES = 2 ** 15
+
+#: The most steps one solve takes; a longer t_end / dt is refused on the
+#: call, before any work.
+_MAX_STEPS = 10 ** 6
 
 #: The largest integral p for which |u|^p is taken by repeated
 #: multiplication; a larger one, which would take p - 1 passes, by pow.
@@ -255,7 +266,8 @@ def semilinear_solve(
 ) -> Iterator[Snapshot]:
     """Exponential Duhamel stepping of u_tt + (-Lap)^sigma u
     + mu (-Lap)^delta u_t = f: |u|^p ("abs_u_p"), |u_t|^p ("abs_ut_p")
-    or 0 ("none"), with t_end / dt an integer (to 1e-9).
+    or 0 ("none"), with t_end / dt an integer (to 1e-9) of at most
+    _MAX_STEPS = 10^6.
 
     Arguments are checked and the data copied on the call (ValueError),
     which returns a generator: it steps as it is iterated, yields the data,
@@ -301,6 +313,9 @@ def semilinear_solve(
     if steps < 0 or abs(t_end / dt - steps) > 1e-9 * t_end / dt:
         raise ValueError(f"t_end / dt = {t_end / dt:.12g} must be a "
                          "non-negative integer")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.12g} asks for more than "
+                         f"{_MAX_STEPS} steps")
     if store_every < 1:
         raise ValueError(f"store_every = {store_every} must be >= 1")
     if nonlinearity != "none" and params.p is None:

@@ -17,19 +17,34 @@
   (Spectra), the format the package used before it kept real fields on
   rfftn half spectra only;
 - stepper_working_set: the bytes a streaming solve holds, de-aliased
-  or linear, counted from the grid, the budget of the memory tests.
+  or linear, counted from the grid, the budget of the memory tests;
+- fraction_validate, fraction_threshold_n1, fraction_gn_window and
+  fraction_admissible_interval: the admissibility engine as it was when
+  it computed in Fraction arithmetic throughout, the reference that the
+  integer cross-multiplication engine must equal result for result;
+- fraction_admissible_files: the admissible.csv and admissible.ndjson
+  text of those intervals, written by csv.writer and json.dumps as the
+  CLI wrote them, the reference for the CLI's bytes.
 """
 
+import csv
+import io
 import itertools
+import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil
 from typing import Callable, Optional
 
 import numpy as np
 
+from sigmalab.admissibility import (AdmissibleInterval, Constraint, Endpoint,
+                                    TheoremId)
 from sigmalab.dispersion import (coalescence_radius, cutoff_chi,
                                  kernel_dt_values, kernel_values)
 from sigmalab.kernels import _find_truncation, bessel_tilde
 from sigmalab import spectral
+from sigmalab.params import ModelParams, ValidationReport, threshold_n0
 from sigmalab.spectral import BlowUpError, Field, Snapshot, TorusGrid
 
 
@@ -412,3 +427,244 @@ def full_spectrum_semilinear_solve(data, params, nonlinearity, t_end, dt,
         if step % store_every == 0 or step == steps:
             snapshots.append(Spectra(grid, t, v.copy(), vt.copy()))
     return tuple(snapshots)
+
+
+# ---------------------------------------------------------------------------
+# Admissibility in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def fraction_threshold_n1(params: ModelParams) -> Fraction:
+    """Loss-of-decay dimension threshold n1 = 4 m q (sigma - delta) / (q - m)
+    of the B-variant gate n > n1; needs m < q."""
+    q, m = params.q, params.m
+    return 4 * m * q * (params.sigma - params.delta) / (q - m)
+
+
+def fraction_require_valid(params: ModelParams) -> None:
+    """Raise ValueError naming every violated standing assumption."""
+    report = fraction_validate(params)
+    if not report.ok:
+        raise ValueError("invalid model parameters: " + "; ".join(report.violations))
+
+
+def fraction_validate(params: ModelParams) -> ValidationReport:
+    """Check the standing assumptions; report all failures, throw nothing."""
+    violations: list[str] = []
+    if params.sigma < 1:
+        violations.append("sigma >= 1 violated")
+    if not (0 < params.delta < params.sigma / 2):
+        violations.append("delta in (0, sigma/2) violated")
+    if params.mu <= 0:
+        violations.append("mu > 0 violated")
+    if params.n < 1:
+        violations.append("n >= 1 violated")
+    if params.q <= 1:
+        violations.append("q > 1 violated")
+    if not (1 <= params.m < params.q):
+        violations.append("1 <= m < q violated")
+    if params.s < 0:
+        violations.append("s >= 0 violated")
+    if params.p is not None and params.p <= 1:
+        violations.append("p > 1 violated")
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def fraction_structural_bound(theorem: TheoremId,
+                              params: ModelParams) -> Optional[Fraction]:
+    """Exact structural lower bound for p, or None when no finite bound exists
+    (nonpositive denominator)."""
+    sigma, delta = params.sigma, params.delta
+    n, q, m, s = params.n, params.q, params.m, params.s
+    fam = theorem.family
+    if fam == 6:
+        den = n - 2 * m * (sigma - 2 * delta)
+        if den <= 0:
+            return None
+        num = max(n - (m / q) * n + m * (s - 2 * delta), 2 * m * (2 * sigma - 3 * delta))
+        return 1 + num / den
+    den = n - 2 * m * (sigma - delta)
+    if den <= 0:
+        return None
+    smooth = sigma if fam == 2 else s
+    num = max(n - (m / q) * n + m * smooth, 4 * m * (sigma - delta))
+    if fam == 4:
+        # Worked-example arithmetic: no additive unit (see module docstring).
+        return num / den
+    return 1 + num / den
+
+
+def fraction_gn_window(theorem: TheoremId, params: ModelParams) -> AdmissibleInterval:
+    """Window of p for which the Gagliardo-Nirenberg step applies."""
+    theorem = TheoremId(theorem)
+    sigma, delta = params.sigma, params.delta
+    n, q, m, s = params.n, params.q, params.m, params.s
+    fam = theorem.family
+    lower = Endpoint(value=q / m, closed=True, source="GN window lower q/m")
+    constraints: list[Constraint] = []
+
+    if fam in (2, 3):
+        smooth = sigma if fam == 2 else s
+        if n <= q * smooth:
+            return AdmissibleInterval(lower, Endpoint(None, False, "GN window"), False,
+                                      active_constraints=tuple(constraints))
+        if n <= q * q * smooth / (q - m):
+            upper = Endpoint(n / (n - q * smooth), True, "GN window upper")
+            return AdmissibleInterval(lower, upper, False,
+                                      active_constraints=tuple(constraints))
+        return AdmissibleInterval(None, None, True,
+                                  empty_reason="n beyond GN dimension band")
+    if fam == 4:
+        if n <= q * s:
+            return AdmissibleInterval(lower, Endpoint(None, False, "GN window"), False)
+        if n <= q * s + q * m * sigma / (q - m):
+            upper = Endpoint(1 + q * sigma / (n - q * s), True, "GN window upper")
+            return AdmissibleInterval(lower, upper, False)
+        return AdmissibleInterval(None, None, True,
+                                  empty_reason="n beyond GN dimension band")
+    # families 5 and 6: dimension gate, no upper endpoint
+    gate_val = 2 * m * (sigma - delta) if fam == 5 else 2 * m * (sigma - 2 * delta)
+    gate_name = ("n > 2m(sigma-delta)" if fam == 5 else "n > 2m(sigma-2delta)")
+    ok = n > gate_val
+    constraints.append(Constraint(gate_name, "gate", f"n = {n} vs {gate_val}", not ok))
+    if not ok:
+        return AdmissibleInterval(None, None, True, empty_reason=f"gate {gate_name}",
+                                  active_constraints=tuple(constraints))
+    return AdmissibleInterval(lower, Endpoint(None, False, "GN window"), False,
+                              active_constraints=tuple(constraints))
+
+
+def fraction_admissible_interval(theorem: TheoremId,
+                                 params: ModelParams) -> AdmissibleInterval:
+    """Full admissible p-interval: intersection of every hypothesis of the theorem.
+
+    Raises ValueError naming the violations when the parameters break a
+    standing assumption.
+    """
+    theorem = TheoremId(theorem)
+    fraction_require_valid(params)
+    sigma = params.sigma
+    n, q, s = params.n, params.q, params.s
+    fam = theorem.family
+    constraints: list[Constraint] = []
+
+    # --- gates ---------------------------------------------------------
+    def gate(label: str, ok: bool, detail: str) -> Optional[AdmissibleInterval]:
+        constraints.append(Constraint(label, "gate", detail, active=not ok))
+        if not ok:
+            return AdmissibleInterval(None, None, True, empty_reason=f"gate: {label}",
+                                      active_constraints=tuple(constraints))
+        return None
+
+    if theorem.is_b:
+        n1 = fraction_threshold_n1(params)
+        failed = gate("n > n1", n > n1, f"n = {n}, n1 = {n1}")
+    else:
+        half, n0 = n // 2, threshold_n0(params)
+        failed = gate("parabolic band floor(n/2) < n0", half < n0,
+                      f"floor(n/2) = {half}, n0 = {n0}")
+    if failed:
+        return failed
+
+    if fam == 3:
+        failed = gate("0 < s < sigma", 0 < s < sigma, f"s = {s}, sigma = {sigma}")
+    elif fam == 4:
+        top = sigma + Fraction(n) / q
+        failed = gate("sigma < s <= sigma + n/q", sigma < s <= top,
+                      f"s = {s}, sigma + n/q = {top}")
+    elif fam in (5, 6):
+        top = sigma + Fraction(n) / q
+        failed = gate("s > sigma + n/q", s > top, f"s = {s}, sigma + n/q = {top}")
+    if failed:
+        return failed
+
+    # --- candidate lower bounds ---------------------------------------
+    # Each entry: (value, closed, label).
+    lowers: list[tuple[Fraction, bool, str]] = []
+
+    if not theorem.is_b:
+        bound = fraction_structural_bound(theorem, params)
+        if bound is None:
+            constraints.append(Constraint("structural exponent bound", "gate",
+                                          "no finite bound (denominator <= 0)", True))
+            return AdmissibleInterval(None, None, True,
+                                      empty_reason="structural bound denominator <= 0",
+                                      active_constraints=tuple(constraints))
+        lowers.append((bound, False, "structural exponent bound"))
+
+    if fam == 4:
+        reg = 1 + ceil(s - sigma)
+        lowers.append((Fraction(reg), False, "regularity p > 1 + ceil(s - sigma)"))
+    elif fam in (5, 6):
+        lowers.append((1 + s - sigma, False, "regularity p > 1 + s - sigma"))
+
+    window = fraction_gn_window(theorem, params)
+    constraints.extend(window.active_constraints)
+    if window.empty:
+        return AdmissibleInterval(None, None, True, empty_reason=window.empty_reason,
+                                  active_constraints=tuple(constraints))
+    assert window.lower is not None and window.lower.value is not None
+    lowers.append((window.lower.value, True, window.lower.source))
+
+    # --- aggregate -----------------------------------------------------
+    # Most restrictive lower bound; at equal values an open bound beats
+    # a closed one.
+    best_value = max(v for v, _, _ in lowers)
+    open_at_best = [lab for v, c, lab in lowers if v == best_value and not c]
+    closed_at_best = [lab for v, c, lab in lowers if v == best_value and c]
+    closed = not open_at_best
+    source = (open_at_best or closed_at_best)[0]
+    lower = Endpoint(best_value, closed, source)
+
+    upper = window.upper
+    for v, c, lab in lowers:
+        constraints.append(Constraint(lab, "lower", str(v), active=(v == best_value)))
+    if upper is not None and not upper.infinite:
+        constraints.append(Constraint(upper.source, "upper", str(upper.value), True))
+
+    if upper is not None and upper.value is not None:
+        if upper.value < lower.value or (
+                upper.value == lower.value and not (upper.closed and lower.closed)):
+            return AdmissibleInterval(lower, upper, True,
+                                      empty_reason="lower bound exceeds GN upper endpoint",
+                                      active_constraints=tuple(constraints))
+    return AdmissibleInterval(lower, upper, False,
+                              active_constraints=tuple(constraints))
+
+
+def _fraction_interval_text(interval: AdmissibleInterval) -> str:
+    if interval.empty:
+        return "empty"
+    lo = interval.lower
+    hi = interval.upper
+    left = "[" if (lo is not None and lo.closed) else "("
+    lo_text = str(lo.value) if lo is not None and lo.value is not None else "1"
+    if hi is None or hi.value is None:
+        return f"{left}{lo_text}, inf)"
+    right = "]" if hi.closed else ")"
+    return f"{left}{lo_text}, {hi.value}{right}"
+
+
+def fraction_admissible_files(cases) -> tuple[str, str]:
+    """The admissible.csv and admissible.ndjson text of (name, theorem,
+    params) cases: a row of cells per case, by csv.writer and by
+    json.dumps of the row's dict."""
+    keys = ("sigma", "delta", "mu", "n", "q", "m", "s", "p")
+    fields = ["case", "theorem", *keys, "interval", "empty", "gate_failed",
+              "empty_reason"]
+    table = io.StringIO()
+    table.write("# schema=1\n")
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(fields)
+    records = []
+    for name, theorem, params in cases:
+        interval = fraction_admissible_interval(theorem, params)
+        gate_failed = interval.empty and any(
+            c.kind == "gate" and c.active for c in interval.active_constraints)
+        cells = [name, TheoremId(theorem).value,
+                 *("" if (value := getattr(params, key)) is None else str(value)
+                   for key in keys),
+                 _fraction_interval_text(interval), str(int(interval.empty)),
+                 str(int(gate_failed)), interval.empty_reason or ""]
+        writer.writerow(cells)
+        records.append(json.dumps(dict(zip(fields, cells))) + "\n")
+    return table.getvalue(), "".join(records)

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigmalab.admissibility import TheoremId, admissible_interval, gn_window
-from sigmalab.params import ModelParams, threshold_n0, threshold_n1
+from sigmalab.params import ModelParams, threshold_n0, threshold_n1, validate
+
+from oracles import (fraction_admissible_interval, fraction_gn_window,
+                     fraction_threshold_n1, fraction_validate)
 
 SET1 = dict(sigma=2, delta="9/10", mu=1, q=5, m=1)
 SET2 = dict(sigma=2, delta="7/8", mu=1, q=4, m=1)
@@ -112,6 +115,18 @@ class TestGates:
                 assert interval.empty
                 assert interval.empty_reason == f"gate: {gate.label}"
 
+    def test_structural_denominator_zero_empties(self):
+        # n = 2 m (sigma - delta) = 4 at m = 20/11: the denominator of the
+        # structural bound is 0, and the window gate of T5 sits on n.
+        params = ModelParams.make(**dict(SET1, m="20/11", n=4))
+        interval = admissible_interval(TheoremId.T2A, params)
+        assert interval.empty_reason == "structural bound denominator <= 0"
+        assert gn_window(TheoremId.T5A, params).empty_reason == (
+            "gate n > 2m(sigma-delta)")
+        for theorem in TheoremId:
+            assert (admissible_interval(theorem, params)
+                    == fraction_admissible_interval(theorem, params))
+
     @pytest.mark.parametrize("overrides,violation", [
         (dict(q=2, m=2), "1 <= m < q violated"),
         (dict(sigma=1, delta="1/2"), "delta in (0, sigma/2) violated"),
@@ -123,6 +138,8 @@ class TestGates:
         for theorem in (TheoremId.T2A, TheoremId.T2B):
             with pytest.raises(ValueError, match=re.escape(violation)):
                 admissible_interval(theorem, params)
+            with pytest.raises(ValueError, match=re.escape(violation)):
+                gn_window(theorem, params)
 
 
 class TestWindows:
@@ -156,3 +173,72 @@ class TestWindows:
         if interval.contains(Fraction(num)):
             assert not interval.empty
 
+
+def _ratio(lo: int, hi: int, denominators=(1, 2, 3, 4, 5, 7, 8)):
+    """Fractions k/d in [lo, hi] of the given denominators, unreduced
+    forms included."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: Fraction(k, d)))
+
+
+@st.composite
+def valid_params(draw):
+    """Parameters of the standing assumptions: sigma in [1, 4], delta in
+    (0, sigma/2), q in (1, 12] and m in [1, q) of several denominators,
+    n in 1..24, s in [0, 10], p absent or above 1.  n and s are often
+    drawn on a gate or window boundary, where a bound changes from open
+    to closed or a window from finite to empty."""
+    sigma = draw(_ratio(1, 4))
+    parts = draw(st.integers(2, 40))
+    delta = sigma / 2 * Fraction(draw(st.integers(1, parts - 1)), parts)
+    q = draw(_ratio(1, 12).filter(lambda q: q > 1))
+    steps = draw(st.integers(1, 10))
+    m = 1 + (q - 1) * Fraction(draw(st.integers(0, steps - 1)), steps)
+    gain = q * m / (q - m)
+    edges = [q * sigma, q * sigma + gain * sigma, q * sigma * q / (q - m),
+             2 * m * (sigma - delta), 2 * m * (sigma - 2 * delta),
+             2 * gain * (sigma - delta), 2 * threshold_n0(ModelParams(sigma, delta))]
+    n = draw(st.sampled_from([draw(st.integers(1, 24))] + [
+        int(v) for v in edges if v.denominator == 1 and 1 <= v <= 24]))
+    edges = [sigma, sigma + n / q, n / q, (n - gain * sigma) / q, n * (q - m) / q / q]
+    s = draw(st.sampled_from([draw(_ratio(0, 10))] + [v for v in edges if 0 <= v <= 10]))
+    return ModelParams(sigma=sigma, delta=delta, mu=draw(_ratio(1, 2)), n=n, q=q,
+                       m=m, s=s,
+                       p=draw(st.none() | _ratio(1, 6).filter(lambda p: p > 1)))
+
+
+#: Any parameters, the standing assumptions broken or not.
+ANY_PARAMS = st.builds(
+    ModelParams, sigma=_ratio(-1, 4), delta=_ratio(-1, 3), mu=_ratio(-1, 2),
+    n=st.integers(-1, 24), q=_ratio(0, 8), m=_ratio(0, 8), s=_ratio(-2, 10),
+    p=st.none() | _ratio(0, 6))
+
+
+class TestIntegerEngine:
+    """The engine, which compares integer cross-products, equals the
+    Fraction engine it replaced (tests/oracles.py) result for result."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(valid_params())
+    def test_intervals_equal_the_fraction_engine(self, params):
+        for theorem in TheoremId:
+            assert (admissible_interval(theorem, params)
+                    == fraction_admissible_interval(theorem, params))
+            assert gn_window(theorem, params) == fraction_gn_window(theorem, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_PARAMS)
+    def test_validate_equals_the_fraction_engine(self, params):
+        assert validate(params) == fraction_validate(params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_params() | ANY_PARAMS.filter(lambda p: p.q != p.m))
+    def test_threshold_n1_equals_the_fraction_engine(self, params):
+        assert threshold_n1(params) == fraction_threshold_n1(params)
+
+    def test_string_theorem_names(self):
+        params = ModelParams.make(**dict(SET2, n=9))
+        assert admissible_interval("T3B", params) == admissible_interval(
+            TheoremId.T3B, params)
+        with pytest.raises(ValueError):
+            admissible_interval("T7A", params)

@@ -4,6 +4,7 @@ import configparser
 import csv
 import importlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -20,9 +21,11 @@ import sigmalab
 from sigmalab import cli
 from sigmalab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NONCONV, EXIT_OK,
                           PRESETS, main)
+from sigmalab.admissibility import TheoremId
+from sigmalab.params import ModelParams
 from sigmalab.spectral import make_grid
 
-from oracles import stepper_working_set
+from oracles import fraction_admissible_files, stepper_working_set
 
 
 def read(path):
@@ -229,6 +232,31 @@ class TestAdmissible:
         assert list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("source", ["paper-examples", "seeded"])
+    def test_bytes_equal_the_fraction_engine(self, tmp_path, source):
+        """The CSV and NDJSON bytes of the engine and writers are those of
+        the Fraction engine, csv.writer and json.dumps."""
+        if source == "paper-examples":
+            sections, argv = PRESETS[source][1], ["--preset", source]
+        else:
+            sections = _seeded_case_table(27, 600)
+            cfg = tmp_path / "c.ini"
+            cfg.write_text("".join(f"[{name}]\n" + "".join(
+                f"{key} = {value}\n" for key, value in entries.items())
+                for name, entries in sections.items()))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["admissible", *argv, "--out", str(out)]) == EXIT_OK
+        cases = [(name.removeprefix("case "), entries["theorem"], ModelParams.make(
+                     **{k: v for k, v in entries.items() if k != "theorem"}))
+                 for name, entries in sections.items()]
+        table, records = fraction_admissible_files(cases)
+        assert (out / "admissible.csv").read_bytes() == table.encode()
+        assert (out / "admissible.ndjson").read_bytes() == records.encode()
+        if source == "seeded":  # gated, emptied and non-empty intervals
+            assert 0 < records.count('"empty": "1"') < len(cases)
+            assert 0 < records.count('"gate_failed": "1"') < len(cases)
+
     def test_scan_holds_two_lines_per_case(self, tmp_path):
         """A 4000-case scan peaks below 5 MiB of traced allocations: the
         config's sections and one CSV and one NDJSON line per case (it
@@ -260,6 +288,40 @@ class TestAdmissible:
         assert len(intervals) == 4000
         assert 0 < intervals.count("empty") < 4000
         assert peak < 5 * 2 ** 20, peak
+
+
+def _seeded_case_table(seed: int, count: int) -> dict[str, dict[str, str]]:
+    """`count` admissible cases of every theorem drawn near the gates,
+    some values written unreduced or as decimals, some with p."""
+    rng = random.Random(seed)
+
+    def text(x: Fraction) -> str:
+        decimal = str(float(x)) if x.denominator in (1, 2, 4, 5, 8) else str(x)
+        return rng.choice([str(x), f"{2 * x.numerator}/{2 * x.denominator}", decimal])
+
+    sections = {}
+    for i in range(count):
+        theorem = rng.choice(list(TheoremId))
+        sigma = Fraction(rng.randint(2, 8), 2)
+        delta = sigma / 2 * Fraction(rng.randint(11, 19), 20)
+        q = Fraction(rng.randint(4, 24), rng.choice([2, 3]))
+        m = 1 + (q - 1) * Fraction(rng.randint(0, 4), 5)
+        if theorem.is_b:  # n about n1
+            n1 = math.floor(4 * m * q * (sigma - delta) / (q - m))
+            n = rng.randint(max(1, n1 - 1), n1 + 8)
+        else:  # floor(n/2) about n0
+            n0 = math.ceil((6 * delta - 2 * sigma) / (sigma - 2 * delta))
+            n = rng.randint(1, max(1, 2 * n0 + 1))
+        s = rng.choice([sigma * Fraction(rng.randint(0, 9), 8),
+                        (sigma + Fraction(n) / q) * Fraction(rng.randint(4, 14), 8)])
+        entries = {"theorem": theorem.value,
+                   "sigma": text(sigma), "delta": text(delta),
+                   "mu": rng.choice(["1/2", "1", "2"]), "n": str(n),
+                   "q": text(q), "m": text(m), "s": text(s)}
+        if rng.random() < 0.2:
+            entries["p"] = text(Fraction(rng.randint(3, 12), 2))
+        sections[f"case c{i:03d}"] = entries
+    return sections
 
 
 def csv_rows(text):
@@ -879,6 +941,41 @@ EXIT_RULES = {
                        "duhamel_times = 10,100\nratio_bound = 0.5\n",
                        EXIT_OK, EXIT_ASSERT),
 }
+
+
+#: Configs with a value beyond what the float arithmetic or a budget
+#: carries, with the command and the phrase of the error that names it.
+OUT_OF_RANGE_CONFIGS = {
+    "evolve-t-end-1e20": ("evolve", "t_end / dt = 1e+21 asks for more than",
+                          _EVOLVE.format(N=64, store_every=1)
+                          .replace("t_end = 1\n", "t_end = 1e20\n")),
+    "toolkit-alpha-max-1e20": ("toolkit", "alpha_max / alpha_step = 2e+20",
+                               "[toolkit]\nalpha_max = 1e20\n"),
+    "evolve-L-5e-324": ("evolve", "L = 5e-324",
+                        _EVOLVE.format(N=64, store_every=1)
+                        .replace("L = 20", "L = 5e-324")),
+    "evolve-width-1e300": ("evolve", "width = 1e+300",
+                           _EVOLVE.format(N=64, store_every=1)
+                           + "[data]\nwidth = 1e300\n"),
+    "evolve-delta-subnormal": ("evolve", "delta is too small for a float",
+                               _EVOLVE.format(N=64, store_every=1)
+                               .replace("delta = 1/4", "delta = 1e-320")),
+}
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_CONFIGS))
+    def test_process_exits_1_with_one_line(self, tmp_path, name):
+        command, message, text = OUT_OF_RANGE_CONFIGS[name]
+        (tmp_path / "c.ini").write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "sigmalab.cli", command, "--config", "c.ini",
+             "--out", "out"], env=_ENV, cwd=tmp_path, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.startswith("config error: ") and message in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestExitCodes:

@@ -92,6 +92,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite and positive"):
             make_grid(1, L, 64)
 
+    @pytest.mark.parametrize("L", [5e-324, 1e-310])
+    def test_rejects_subnormal_step(self, L):
+        # 2 L / N underflows to 0 or a subnormal (rfftfreq divides by it).
+        with pytest.raises(ValueError, match=f"L = {L}"):
+            make_grid(1, L, 64)
+
+    def test_rejects_width_too_large_to_square(self):
+        grid = make_grid(1, 20.0, 64)
+        with pytest.raises(ValueError, match="width = 1e\\+300"):
+            gaussian_field(grid, 1.0, 1e300)
+        assert np.isfinite(gaussian_field(grid, 1.0, 1e150).values).all()
+
     def test_frequency_spacing(self):
         grid = make_grid(1, 20.0, 128)
         assert grid.rho_rows.shape == (65,)
@@ -404,6 +416,15 @@ class TestRealStepper:
             steps = len(list(semilinear_solve(snap, P_SMALL, "none", t_end,
                                               dt, store_every=10**6)))
             assert steps == 2
+
+    def test_step_budget_is_checked_on_the_call(self):
+        grid = make_grid(1, 20.0, 64)
+        snap = Snapshot(0.0, gaussian_field(grid), zero_field(grid))
+        cap = spectral._MAX_STEPS
+        for t_end in (1e20, 0.5 * (cap + 1)):
+            with pytest.raises(ValueError, match="t_end / dt = .* more than"):
+                semilinear_solve(snap, P_SMALL, "none", t_end=t_end, dt=0.5)
+        semilinear_solve(snap, P_SMALL, "none", t_end=0.5 * cap, dt=0.5)
 
     @pytest.mark.parametrize("nonlinearity,order", [("abs_u_p", 1.8),
                                                     ("abs_ut_p", 0.9)])
