@@ -23,8 +23,8 @@ from .admissibility import (
     gn_window,
 )
 from .kernels import (
-    DecayFit, RadialProfile, bessel_tilde, fit_power_law, kernel_lr_norm,
-    kernel_profile, theoretical_exponent,
+    DecayFit, RadialProfile, SampleBudgetError, bessel_tilde, fit_power_law,
+    kernel_lr_norm, kernel_profile, theoretical_exponent,
 )
 from .spectral import (
     BlowUpError, Field, Snapshot, TorusGrid, gaussian_field, gevrey_energy,
@@ -48,8 +48,8 @@ __all__ = [
     "TheoremId", "Endpoint", "Constraint", "AdmissibleInterval",
     "admissible_interval", "gn_window",
     # kernels
-    "DecayFit", "RadialProfile", "bessel_tilde", "kernel_profile",
-    "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
+    "DecayFit", "RadialProfile", "SampleBudgetError", "bessel_tilde",
+    "kernel_profile", "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
     # spectral
     "TorusGrid", "Field", "Snapshot", "BlowUpError",
     "make_grid", "zero_field", "gaussian_field", "linear_evolve",

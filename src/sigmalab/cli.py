@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .admissibility import AdmissibleInterval, TheoremId, admissible_interval
-from .kernels import fit_power_law, kernel_lr_norm, theoretical_exponent
+from .kernels import (SampleBudgetError, fit_power_law, kernel_lr_norm,
+                      theoretical_exponent)
 from .params import ModelParams, as_fraction, validate
 from .spectral import (BlowUpError, Snapshot, gaussian_field, gevrey_energy,
                        linear_evolve, lq_norm, make_grid, semilinear_solve,
@@ -54,7 +55,12 @@ EXIT_NONCONV = 3
 
 
 class ConfigError(Exception):
-    """Invalid or inconsistent experiment configuration."""
+    """Invalid or inconsistent experiment configuration (exit 1)."""
+
+
+class NonConvergence(Exception):
+    """A computation that did not converge (exit 3); its message is the
+    command's one line on stderr."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +136,13 @@ def _one_of(*choices: str) -> _Domain:
 _REQUIRED = "required"  # the default of a key that must be given
 
 
+def _float_fraction(text: str) -> Fraction:
+    """A rational whose float, which the kernels take, is finite."""
+    value = as_fraction(text)
+    float(value)  # OverflowError past the float range
+    return value
+
+
 class _Key(NamedTuple):
     """A config key: the converter of its text (of each comma-separated
     item when `each`), its default as config text (None: the key stays
@@ -167,9 +180,9 @@ _KEYS: dict[str, dict[str, dict[str, _Key]]] = {
         "model": _MODEL,
         "sweep NAME": {
             "which": _Key(str, _REQUIRED, _one_of("K0", "K1")),
-            "a": _Key(as_fraction, "0", _at_least(0)),
+            "a": _Key(_float_fraction, "0", _at_least(0)),
             "band": _Key(str, "full", _one_of("low", "high", "full")),
-            "r": _Key(as_fraction, "1", _at_least(1)),
+            "r": _Key(_float_fraction, "1", _at_least(1)),
             "regime": _Key(str, _REQUIRED, _one_of("small_t", "large_t")),
             "t_min": _Key(float, _REQUIRED, _FINITE),
             "t_max": _Key(float, _REQUIRED, _FINITE),
@@ -297,27 +310,22 @@ def _data_from(config: dict, n: int, where: str, which: str = "u0") -> Snapshot:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else str(value)
 
 
 _model_values = attrgetter(*_MODEL)
 
 
-def _params_cells(params: ModelParams) -> dict[str, str]:
-    return {key: "" if value is None else str(value)
-            for key, value in zip(_MODEL, _model_values(params))}
+def _params_cells(params: ModelParams) -> list[str]:
+    return ["" if value is None else str(value) for value in _model_values(params)]
 
 
 def _csv_lines(fieldnames: list[str]) -> tuple[list[str], Callable]:
     """The lines of a schema-1 CSV, begun with its header, and the
     writerow of a csv.writer (minimal quoting, "\n" line ends) that
-    appends a row of formatted cells to them as one line."""
+    appends a row of cells, in header order, to them as one line."""
     lines = ["# schema=1\n"]
     writerow = csv.writer(SimpleNamespace(write=lines.append),
                           lineterminator="\n").writerow
@@ -325,42 +333,37 @@ def _csv_lines(fieldnames: list[str]) -> tuple[list[str], Callable]:
     return lines, writerow
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-
-
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+def _table(fieldnames: list[str], rows: list[list]) -> list[str]:
+    """The lines of a schema-1 CSV of rows of cells in header order, each
+    cell through _fmt.  The writer, with its 128 KiB record buffer, lives
+    only while they are formed, after the command's computation."""
     lines, writerow = _csv_lines(fieldnames)
     for row in rows:
-        writerow([_fmt(row.get(name, "")) for name in fieldnames])
-    _write_lines(path, lines)
+        writerow(map(_fmt, row))
+    return lines
 
 
 def _interval_text(interval: AdmissibleInterval) -> str:
     if interval.empty:
         return "empty"
-    lo = interval.lower
-    hi = interval.upper
+    lo, hi = interval.lower, interval.upper
     left = "[" if (lo is not None and lo.closed) else "("
     lo_text = str(lo.value) if lo is not None and lo.value is not None else "1"
     if hi is None or hi.value is None:
         return f"{left}{lo_text}, inf)"
-    right = "]" if hi.closed else ")"
-    return f"{left}{lo_text}, {hi.value}{right}"
+    return f"{left}{lo_text}, {hi.value}{']' if hi.closed else ')'}"
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_admissible(cfg, out_dir, strict) -> int:
-    config = _read(cfg, "admissible")
+def cmd_admissible(config: dict, strict: bool) -> tuple[dict, bool]:
     fields = ["case", "theorem", *_MODEL,
               "interval", "empty", "gate_failed", "empty_reason"]
     # Each case is validated, once, by admissible_interval as it is
-    # parsed, and leaves its CSV and NDJSON lines; the files are written
-    # only after every case has passed.  An NDJSON line is what json.dumps
+    # parsed, and leaves its CSV and NDJSON lines.  Its cells are strings
+    # already, so they skip _fmt.  An NDJSON line is what json.dumps
     # writes of the row's dict, with the string encoder json.dumps uses.
     csv_lines, writerow = _csv_lines(fields)
     json_keys = [f"{_json_str(key)}: " for key in fields]
@@ -376,18 +379,16 @@ def cmd_admissible(cfg, out_dir, strict) -> int:
         gate_failed = interval.empty and any(
             c.kind == "gate" and c.active for c in interval.active_constraints)
         gate_failures += gate_failed
-        cells = [name, theorem, *_params_cells(params).values(),
+        cells = [name, theorem, *_params_cells(params),
                  _interval_text(interval), "1" if interval.empty else "0",
                  "1" if gate_failed else "0", interval.empty_reason or ""]
         writerow(cells)
         json_lines.append("{" + ", ".join([key + _json_str(cell) for key, cell
                                            in zip(json_keys, cells)]) + "}\n")
-    _write_lines(os.path.join(out_dir, "admissible.csv"), csv_lines)
-    _write_lines(os.path.join(out_dir, "admissible.ndjson"), json_lines)
     if strict and gate_failures:
         print(f"admissible: {gate_failures} gate failure(s)", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    return ({"admissible.csv": csv_lines, "admissible.ndjson": json_lines},
+            strict and gate_failures > 0)
 
 
 #: Edge-to-peak amplitude ratio above which a decay sample is flagged
@@ -400,63 +401,55 @@ _WRAP_THRESHOLD = 0.25
 def _edge_fraction(snapshot: Snapshot) -> float:
     """Relative field magnitude in the outer 10% shell of the torus --
     a wrap-around monitor for decay experiments."""
-    grid = snapshot.u.grid
-    phys = snapshot.u.values
-    coords = grid.meshgrid()
-    radius = np.sqrt(sum(c ** 2 for c in coords))
-    shell = radius >= 0.45 * grid.L
+    grid, phys = snapshot.u.grid, snapshot.u.values
+    shell = np.sqrt(sum(c ** 2 for c in grid.meshgrid())) >= 0.45 * grid.L
     peak = float(np.max(np.abs(phys)))
     if peak == 0.0 or not np.any(shell):
         return 0.0
     return float(np.max(np.abs(phys[shell])) / peak)
 
 
-def cmd_decay_fit(cfg, out_dir, strict) -> int:
-    config = _read(cfg, "decay-fit")
+def _linear_flow(command: str, data: Snapshot, times, params: ModelParams):
+    """(t, snapshot) of the exact linear flow of `data` at each of `times`;
+    an L^2 norm that overflows is non-convergence."""
+    for t in times:
+        try:
+            snap = linear_evolve(data, float(t), params)
+        except BlowUpError as exc:
+            raise NonConvergence(f"{command}: the L^2 norm at t = {t:.12g} "
+                                 "overflows (the data are too large)") from exc
+        yield float(t), snap
+
+
+def cmd_decay_fit(config: dict, strict: bool) -> tuple[dict, bool]:
     params = _model_from(config["model"])
     t_min, t_max, points = config["time"].values()
     if not 0 < t_min < t_max:
         raise ConfigError("decay-fit: need 0 < t_min < t_max")
     which = config["data"]["which"]
-    tolerance = config["fit"]["tol"]
     data = _data_from(config, params.n, "decay-fit", which)
 
-    times = np.geomspace(t_min, t_max, points)
     samples, wrapped = [], 0
-    for t in times:
-        try:
-            snap = linear_evolve(data, float(t), params)
-        except BlowUpError:
-            print(f"decay-fit: the L^2 norm at t = {t:.12g} overflows "
-                  "(the data are too large)", file=sys.stderr)
-            return EXIT_NONCONV
-        samples.append((float(t), lq_norm(snap.u, 2.0)))
+    times = np.geomspace(t_min, t_max, points)
+    for t, snap in _linear_flow("decay-fit", data, times, params):
+        samples.append((t, lq_norm(snap.u, 2.0)))
         wrapped += _edge_fraction(snap) > _WRAP_THRESHOLD
 
-    rows = []
     if max(v for _, v in samples) == 0.0:
-        rows.append({"observable": "norm_L2_u", **_params_cells(params),
-                     "fitted": "", "theoretical": "", "rel_err": "",
-                     "wrapped": wrapped, "status": "skipped"})
-        ok = True
+        fitted = theory = rel_err = None
+        ok, status = True, "skipped"
     else:
-        fit = fit_power_law(samples, (t_min, t_max))
+        fitted = fit_power_law(samples, (t_min, t_max)).exponent
         selector = "u_from_u0" if which == "u0" else "u_from_u1"
         # Young relation 1 + 1/q = 1/r + 1/m with the L^2 observable.
         inv_r = 1 + Fraction(1, 2) - 1 / params.m
         theory = theoretical_exponent(selector, 0, "large_t", 1 / inv_r, params)
-        rel_err = abs(fit.exponent - float(theory)) / max(abs(float(theory)), 1e-12)
-        ok = rel_err <= tolerance
-        rows.append({"observable": "norm_L2_u", **_params_cells(params),
-                     "fitted": fit.exponent, "theoretical": theory,
-                     "rel_err": rel_err, "wrapped": wrapped,
-                     "status": "ok" if ok else "tolerance_exceeded"})
-    fields = ["observable", *_params_cells(params).keys(), "fitted",
-              "theoretical", "rel_err", "wrapped", "status"]
-    _write_csv(os.path.join(out_dir, "decay_fit.csv"), fields, rows)
-    if wrapped and strict:
-        return EXIT_ASSERT
-    return EXIT_OK if ok else EXIT_ASSERT
+        rel_err = abs(fitted - float(theory)) / max(abs(float(theory)), 1e-12)
+        ok = rel_err <= config["fit"]["tol"]
+        status = "ok" if ok else "tolerance_exceeded"
+    fields = ["observable", *_MODEL, "fitted", "theoretical", "rel_err", "wrapped", "status"]
+    row = ["norm_L2_u", *_params_cells(params), fitted, theory, rel_err, wrapped, status]
+    return {"decay_fit.csv": _table(fields, [row])}, not ok or (strict and wrapped > 0)
 
 
 def _sweep_theory(which: str, a: Fraction, regime: str, r: Fraction,
@@ -475,8 +468,7 @@ def _sweep_theory(which: str, a: Fraction, regime: str, r: Fraction,
     return theoretical_exponent(which, a, regime, r, params)
 
 
-def cmd_kernel_norm(cfg, out_dir, strict) -> int:
-    config = _read(cfg, "kernel-norm")
+def cmd_kernel_norm(config: dict, strict: bool) -> tuple[dict, bool]:
     params = _model_from(config["model"])
     if params.n not in (1, 2, 3):
         raise ConfigError(f"kernel-norm supports n = 1, 2 or 3, not n = {params.n}")
@@ -485,46 +477,38 @@ def cmd_kernel_norm(cfg, out_dir, strict) -> int:
     for name, *_, t_min, t_max, _ in sweeps:
         if not 0 < t_min < t_max:
             raise ConfigError(f"sweep {name!r}: need 0 < t_min < t_max")
-    tolerance = config["fit"]["tol"]
     rows, failures = [], 0
     for name, which, a, band, r, regime, t_min, t_max, points in sweeps:
-        times = np.geomspace(t_min, t_max, points)
         samples = []
-        for t in times:
-            norm = kernel_lr_norm(which, float(a), float(t), float(r),
-                                  params, params.n, band=band)
+        for t in np.geomspace(t_min, t_max, points):
+            where = f"kernel-norm sweep {name!r}: the norm at t = {t:.12g}"
+            try:
+                norm = kernel_lr_norm(which, float(a), float(t), float(r),
+                                      params, params.n, band=band)
+            except SampleBudgetError as exc:
+                raise NonConvergence(f"{where} {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"sweep {name!r}: {exc}") from exc
             if not norm > 0:
-                print(f"kernel-norm sweep {name!r}: the norm at t = {t:.12g} "
-                      f"is {norm!r}, not positive, so no power law can be "
-                      "fitted", file=sys.stderr)
-                return EXIT_NONCONV
+                raise NonConvergence(f"{where} is {norm!r}, not positive, so no "
+                                     "power law can be fitted")
             samples.append((float(t), norm))
-        fit = fit_power_law(samples, (t_min, t_max))
+        fitted = fit_power_law(samples, (t_min, t_max)).exponent
         theory = _sweep_theory(which, a, regime, r, band, params)
         if theory is None:
-            rel_err, ok = "", True
+            rel_err, ok = None, True
         else:  # the deviation from a flat law (theory 0) is absolute
-            rel_err = (abs(fit.exponent - float(theory))
-                       / (abs(float(theory)) or 1.0))
-            ok = rel_err <= tolerance
+            rel_err = abs(fitted - float(theory)) / (abs(float(theory)) or 1.0)
+            ok = rel_err <= config["fit"]["tol"]
         failures += not ok
-        rows.append({"sweep": name, **_params_cells(params),
-                     "which": which, "band": band, "a": a, "r": r,
-                     "regime": regime, "t_min": t_min, "t_max": t_max,
-                     "fitted": fit.exponent, "theoretical": theory,
-                     "rel_err": rel_err,
-                     "status": "ok" if ok else "tolerance_exceeded"})
-    fields = ["sweep", *_params_cells(params).keys(), "which", "band", "a",
-              "r", "regime", "t_min", "t_max", "fitted", "theoretical",
-              "rel_err", "status"]
-    _write_csv(os.path.join(out_dir, "kernel_norm.csv"), fields, rows)
-    if strict and failures:
-        return EXIT_ASSERT
-    return EXIT_OK
+        rows.append([name, *_params_cells(params), which, band, a, r, regime, t_min,
+                     t_max, fitted, theory, rel_err, "ok" if ok else "tolerance_exceeded"])
+    fields = ["sweep", *_MODEL, "which", "band", "a", "r", "regime", "t_min", "t_max",
+              "fitted", "theoretical", "rel_err", "status"]
+    return {"kernel_norm.csv": _table(fields, rows)}, strict and failures > 0
 
 
-def cmd_evolve(cfg, out_dir) -> int:
-    config = _read(cfg, "evolve")
+def cmd_evolve(config: dict) -> tuple[dict, bool]:
     params = _model_from(config["model"])
     data = _data_from(config, params.n, "evolve")
     t_end, dt, store_every = config["time"].values()
@@ -533,74 +517,55 @@ def cmd_evolve(cfg, out_dir) -> int:
     if twice := [q for i, q in enumerate(q_list) if names[i] in names[:i]]:
         raise ConfigError(f"evolve: q = {twice[0]:g} appears twice in q_list")
 
-    rows = []
+    rows, cells = [], _params_cells(params)
     try:
         solve = semilinear_solve(data, params, nonlinearity, t_end, dt,
                                  store_every=store_every, norm_ceiling=ceiling)
         del data  # the solve holds its own copy
         for snap in solve:
-            rows.append({**_params_cells(params), "t": snap.t,
-                         **{name: lq_norm(snap.u, q)
-                            for name, q in zip(names, q_list)},
-                         "norm_ut_L2": lq_norm(snap.ut, 2.0)})
+            rows.append([*cells, snap.t, *[lq_norm(snap.u, q) for q in q_list],
+                         lq_norm(snap.ut, 2.0)])
             del snap  # not held while the next state is stepped
     except BlowUpError as exc:
-        print(f"evolve: {exc}", file=sys.stderr)
-        return EXIT_NONCONV
+        raise NonConvergence(f"evolve: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"evolve: {exc}") from exc
-    fields = [*_params_cells(params).keys(), "t", *names, "norm_ut_L2"]
-    _write_csv(os.path.join(out_dir, "evolve.csv"), fields, rows)
-    return EXIT_OK
+    return {"evolve.csv": _table([*_MODEL, "t", *names, "norm_ut_L2"], rows)}, False
 
 
-def cmd_gevrey(cfg, out_dir) -> int:
-    config = _read(cfg, "gevrey")
+def cmd_gevrey(config: dict) -> tuple[dict, bool]:
     params = _model_from(config["model"])
     data = _data_from(config, params.n, "gevrey")
     c, t_max, points, ratio_bound = config["gevrey"].values()
     base = gevrey_energy(data, c, params)
     rows, violations = [], 0
-    for t in np.linspace(0.0, t_max, points):
-        try:
-            snap = linear_evolve(data, float(t), params)
-        except BlowUpError:
-            print(f"gevrey: the L^2 norm at t = {t:.12g} overflows "
-                  "(the data are too large)", file=sys.stderr)
-            return EXIT_NONCONV
+    for t, snap in _linear_flow("gevrey", data, np.linspace(0.0, t_max, points), params):
         energy = gevrey_energy(snap, c, params)
         if not math.isfinite(energy):  # at t = 0 that of the data
             cause = ("the data are too large" if t == 0 else
                      "the weight exp(2 c rho^(2 delta) t) overflows")
-            print(f"gevrey: the energy at t = {t:.12g} is {energy!r}, not "
-                  f"finite ({cause})", file=sys.stderr)
-            return EXIT_NONCONV
+            raise NonConvergence(f"gevrey: the energy at t = {t:.12g} is {energy!r}, "
+                                 f"not finite ({cause})")
         ratio = energy / base if base > 0 else 0.0
         ok = ratio <= ratio_bound
         violations += not ok
-        rows.append({**_params_cells(params), "t": float(t), "c": c,
-                     "energy": energy, "ratio": ratio,
-                     "status": "ok" if ok else "bound_exceeded"})
-    fields = [*_params_cells(params).keys(), "t", "c", "energy", "ratio",
-              "status"]
-    _write_csv(os.path.join(out_dir, "gevrey.csv"), fields, rows)
-    return EXIT_ASSERT if violations else EXIT_OK
+        rows.append([*_params_cells(params), t, c, energy, ratio,
+                     "ok" if ok else "bound_exceeded"])
+    fields = [*_MODEL, "t", "c", "energy", "ratio", "status"]
+    return {"gevrey.csv": _table(fields, rows)}, violations > 0
 
 
 #: The most alpha (and beta) values of the toolkit's Duhamel grid.
 _ALPHA_POINTS = 100
 
 
-def cmd_toolkit(cfg, out_dir, strict) -> int:
-    (bell_max, times, alpha_max, alpha_step,
-     ratio_bound) = _read(cfg, "toolkit")["toolkit"].values()
-
-    rows = []
+def cmd_toolkit(config: dict, strict: bool) -> tuple[dict, bool]:
+    bell_max, times, alpha_max, alpha_step, ratio_bound = config["toolkit"].values()
+    rows, violations = [], 0
     for order in range(1, bell_max + 1):
         parts = faa_di_bruno_partitions(order)
-        rows.append({"kind": "bell", "n": order, "count": len(parts),
-                     "coeff_sum": sum(p.coefficient for p in parts)})
-    violations = 0
+        rows.append(["bell", order, len(parts), sum(p.coefficient for p in parts),
+                     "", "", "", ""])
     if (alpha_max + 1e-9) / alpha_step > _ALPHA_POINTS:  # the length np.arange takes
         raise ConfigError(f"toolkit: alpha_max / alpha_step = {alpha_max / alpha_step:g} "
                           f"asks for more than {_ALPHA_POINTS} alpha (and beta) values")
@@ -612,15 +577,10 @@ def cmd_toolkit(cfg, out_dir, strict) -> int:
             spread = max(ratios) / min(ratios)
             ok = spread <= ratio_bound
             violations += not ok
-            rows.append({"kind": "duhamel", "alpha": float(alpha),
-                         "beta": float(beta), "ratio_spread": spread,
-                         "status": "ok" if ok else "spread_exceeded"})
-    fields = ["kind", "n", "count", "coeff_sum", "alpha", "beta",
-              "ratio_spread", "status"]
-    _write_csv(os.path.join(out_dir, "toolkit.csv"), fields, rows)
-    if strict and violations:
-        return EXIT_ASSERT
-    return EXIT_OK
+            rows.append(["duhamel", "", "", "", float(alpha), float(beta), spread,
+                         "ok" if ok else "spread_exceeded"])
+    fields = ["kind", "n", "count", "coeff_sum", "alpha", "beta", "ratio_spread", "status"]
+    return {"toolkit.csv": _table(fields, rows)}, strict and violations > 0
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +711,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         flags = (args.strict,) if args.command in _STRICT else ()
-        return _COMMANDS[args.command](cfg, args.out, *flags)
+        # The lines of each output file by name, and whether a check failed.
+        files, failed = _COMMANDS[args.command](_read(cfg, args.command), *flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonConvergence as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NONCONV
+    for name, lines in files.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    return EXIT_ASSERT if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -43,12 +43,17 @@ from .dispersion import coalescence_radius, cutoff_chi, kernel_values
 from .params import ModelParams, as_fraction
 
 __all__ = [
-    "DecayFit", "RadialProfile", "bessel_tilde", "kernel_profile",
-    "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
+    "DecayFit", "RadialProfile", "SampleBudgetError", "bessel_tilde",
+    "kernel_profile", "kernel_lr_norm", "fit_power_law", "theoretical_exponent",
 ]
 
 #: Surface measure of the unit sphere S^{n-1} for n = 1, 2, 3.
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
+
+class SampleBudgetError(RuntimeError):
+    """Raised when a transform would need more samples than its budget,
+    before any array is formed."""
 
 
 @dataclass(frozen=True)
@@ -574,7 +579,8 @@ def kernel_profile(which: str, a: float, t: float, band: str,
 
     Returns the profile of the *scaled* multiplier g(eta) = G(scale*eta)
     together with the scale; the physical profile is
-    scale^n * I(scale * x).
+    scale^n * I(scale * x).  Raises SampleBudgetError when the first
+    window of the scaled FFT path is over its budget.
     """
     _check_dimension(n)
     if t <= 0:
@@ -594,6 +600,12 @@ def kernel_profile(which: str, a: float, t: float, band: str,
     if eta_max is None:
         return RadialProfile(dy=1.0, values=np.zeros(2), scale=scale, n=n)
     target_y = 3.0 * hint + 60.0
+    # The FFT length of the first window, formed as a float, is held to the
+    # budget of the enlarged ones below.
+    first = 8.0 * eta_max * (target_y + hint + 1.0) / np.pi
+    if n in (1, 3) and not first <= _DENSE_SAMPLE_CAP / 4:
+        raise SampleBudgetError(f"needs {first:.3g} transform samples, more than "
+                                f"the budget of {_DENSE_SAMPLE_CAP / 4:g}")
     for _ in range(4):
         if n in (1, 3):
             prof = _profile_fft(g, n, eta_max, hint, target_y)
@@ -674,16 +686,24 @@ def kernel_lr_norm(which: str, a: float, t: float, r: float,
     r = 2 uses Parseval on the multiplier directly (_parseval_norm);
     r = inf is the max of the radial profile; other r integrate the
     profile, where the self-similar dilation contributes the factor
-    scale^{n(1-1/r)}.  Raises ValueError unless t > 0 and r >= 1.
+    scale^{n(1-1/r)}.  Raises ValueError unless t > 0, r >= 1, the scale
+    and mu^2 are floats, and SampleBudgetError when the transform is over
+    its budget.
     """
     _check_dimension(n)
     if r < 1:
         raise ValueError("r must be in [1, inf]")
     if not t > 0:
         raise ValueError("t must be positive")
+    try:
+        scale = _natural_scale(t, band, params)
+    except OverflowError:
+        raise ValueError(f"t = {t:g} is too small: its scale overflows a float") from None
+    if not np.isfinite(params.mu_f * params.mu_f):
+        raise ValueError(f"mu = {params.mu_f:g} is too large: mu^2 overflows a float")
     if r == 2.0:
-        return _parseval_norm(_kernel_multiplier(which, a, t, band, params),
-                              _natural_scale(t, band, params), t, params, n)
+        return _parseval_norm(_kernel_multiplier(which, a, t, band, params), scale,
+                              t, params, n)
     prof = kernel_profile(which, a, t, band, params, n)
     scale = prof.scale
     vals = prof.values

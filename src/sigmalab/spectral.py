@@ -59,6 +59,13 @@ class TorusGrid:
         if not (self.dx >= np.finfo(np.float64).tiny and np.isfinite(np.pi / self.L)):
             raise ValueError(f"L = {self.L} gives a grid step 2 L / N or a "
                              "frequency pi / L out of the normal float range")
+        # |x|^2 reaches n L^2 and |xi|^2 n (pi N / (2 L))^2 (in Python
+        # floats, which overflow to inf without a warning).
+        L = float(self.L)
+        top = np.pi * self.N / (2.0 * L)
+        if not np.isfinite([self.n * L * L, self.n * top * top]).all():
+            raise ValueError(f"L = {self.L} gives a squared radius n L^2 or a "
+                             "squared frequency n (pi N / (2 L))^2 that overflows")
 
     @property
     def dx(self) -> float:
@@ -142,13 +149,17 @@ def gaussian_field(grid: TorusGrid, amplitude: float = 1.0,
     """Centered Gaussian amplitude * exp(-|x|^2 / width^2) on the lattice.
 
     Raises ValueError unless width is finite and positive (width = 0
-    would put 0/0 = NaN at the origin), width^2 is finite and amplitude
-    is finite.
+    would put 0/0 = NaN at the origin), width^2 and n (L / width)^2 are
+    finite and amplitude is finite.
     """
     if not (np.isfinite(width) and width > 0):
         raise ValueError(f"width = {width} must be finite and positive")
     if not np.isfinite(width * width):
         raise ValueError(f"width = {width} is too large to square")
+    ratio = float(grid.L) / float(width)
+    if not np.isfinite(grid.n * ratio * ratio):
+        raise ValueError(f"width = {width} is too small for L = {grid.L}: "
+                         "n (L / width)^2 overflows")
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude = {amplitude} must be finite")
     mesh = grid.meshgrid()

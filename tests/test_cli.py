@@ -960,6 +960,30 @@ OUT_OF_RANGE_CONFIGS = {
     "evolve-delta-subnormal": ("evolve", "delta is too small for a float",
                                _EVOLVE.format(N=64, store_every=1)
                                .replace("delta = 1/4", "delta = 1e-320")),
+    # |x|^2, |xi|^2 and (|x| / width)^2 overflow on the grid.
+    "evolve-L-1e200": ("evolve", "L = 1e+200 gives a squared radius",
+                       _EVOLVE.format(N=64, store_every=1)
+                       .replace("L = 20", "L = 1e200")),
+    "evolve-L-1e-300": ("evolve", "L = 1e-300 gives a squared radius",
+                        _EVOLVE.format(N=64, store_every=1)
+                        .replace("L = 20", "L = 1e-300")),
+    "evolve-width-1e-160": ("evolve", "width = 1e-160 is too small for L = 20.0",
+                            _EVOLVE.format(N=64, store_every=1)
+                            + "[data]\nwidth = 1e-160\n"),
+    # The kernels take a and r as floats.
+    "kernel-norm-r-1e400": ("kernel-norm", "sweep 's': bad value for 'r'",
+                            _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
+                            + "r = 1e400\n"),
+    "kernel-norm-a-1e400": ("kernel-norm", "sweep 's': bad value for 'a'",
+                            _MODEL_1D + _SWEEP.format(which="K1", band="low", points=5)
+                            + "a = 1e400\n"),
+    "kernel-norm-t-min-1e-300": ("kernel-norm", "sweep 's': t = 1e-300 is too small",
+                                 _MODEL_1D + _SWEEP.format(which="K0", band="high",
+                                                           points=5)
+                                 .replace("t_min = 0.02", "t_min = 1e-300")),
+    "kernel-norm-mu-1e300": ("kernel-norm", "sweep 's': mu = 1e+300 is too large",
+                             _MODEL_1D.replace("mu = 1", "mu = 1e300")
+                             + _SWEEP.format(which="K0", band="high", points=5)),
 }
 
 
@@ -976,6 +1000,40 @@ class TestOutOfRange:
         assert done.stderr.startswith("config error: ") and message in done.stderr
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
         assert list((tmp_path / "out").iterdir()) == []
+
+
+#: Valid models at which the kernel-smallt preset's K0-high-smallt sweep
+#: (delta = 1/4) needs more transform samples than the budget: each once
+#: asked for an impossible array (7.35 TiB at sigma = 2) or ended in a
+#: ValueError or TypeError from numpy, and now exits 3 before any work.
+OVER_BUDGET_SIGMAS = {"sigma-2": ("2", "4.04e+12"), "sigma-3": ("3", "7.6e+18"),
+                      "sigma-7": ("7", "5.01e+43")}
+
+
+class TestSampleBudget:
+    @pytest.mark.parametrize("name", sorted(OVER_BUDGET_SIGMAS))
+    def test_over_budget_is_nonconvergence(self, tmp_path, capsys, name):
+        sigma, samples = OVER_BUDGET_SIGMAS[name]
+        _, preset = PRESETS["kernel-smallt"]
+        sweep = preset["sweep K0-high-smallt"]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(_MODEL_1D.replace("sigma = 1", f"sigma = {sigma}")
+                       + "[sweep K0-high-smallt]\n"
+                       + "".join(f"{key} = {value}\n" for key, value in sweep.items()))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["kernel-norm", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_NONCONV
+        assert err == ("kernel-norm sweep 'K0-high-smallt': the norm at t = 0.05 "
+                       f"needs {samples} transform samples, more than the budget "
+                       "of 2e+07\n")
+        assert list(out.iterdir()) == []
+        assert peak < 2 ** 24, peak
 
 
 class TestExitCodes:

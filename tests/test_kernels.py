@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from sigmalab.kernels import (bessel_tilde, fit_power_law, kernel_lr_norm,
-                              kernel_profile, theoretical_exponent)
+from sigmalab.kernels import (SampleBudgetError, bessel_tilde, fit_power_law,
+                              kernel_lr_norm, kernel_profile, theoretical_exponent)
 from sigmalab import kernels
 from sigmalab.dispersion import cutoff_chi
 from sigmalab.kernels import _SPHERE_AREA, RadialProfile
@@ -250,6 +250,32 @@ class TestKernelNorms:
         # or a norm of 0.4730 at t = 0 (low band, r = 2).
         with pytest.raises(ValueError, match="t must be positive"):
             kernel_lr_norm("K0", 0.0, t, r, P_SMALL, 1, band=band)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+    def test_out_of_range_t_and_mu_rejected(self, monkeypatch, r):
+        # Once an OverflowError from the natural scale or from mu ** 2.
+        monkeypatch.setattr(kernels, "kernel_values", None)  # no work is done
+        with pytest.raises(ValueError, match=r"t = 1e-300 is too small"):
+            kernel_lr_norm("K0", 0.0, 1e-300, r, P_SMALL, 1, band="high")
+        big_mu = ModelParams.make(sigma=1, delta="1/4", mu="1e300", n=1, q=2, m=1)
+        with pytest.raises(ValueError, match=r"mu = 1e\+300 is too large"):
+            kernel_lr_norm("K0", 0.0, 0.5, r, big_mu, 1, band="low")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("sigma", [2, 3, 7])
+    def test_first_window_over_budget_raises_before_any_array(self, n, sigma):
+        # At delta = 1/4 the dense path gives up at its cap, and the scaled
+        # path's first window once asked for 7.35 TiB (sigma = 2), an
+        # array numpy calls too big (3) or a count np.log2 rejects (7).
+        params = ModelParams.make(sigma=sigma, delta="1/4", mu=1, n=n, q=2, m=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SampleBudgetError, match="more than the budget"):
+                kernel_lr_norm("K0", 0.0, 0.05, 1.0, params, n, band="high")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24, peak
 
     @pytest.mark.parametrize("n", [0, 4, 5])
     @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])

@@ -1,6 +1,7 @@
 """Pseudo-spectral torus evolution and norms."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -97,6 +98,19 @@ class TestGrid:
         # 2 L / N underflows to 0 or a subnormal (rfftfreq divides by it).
         with pytest.raises(ValueError, match=f"L = {L}"):
             make_grid(1, L, 64)
+
+    @pytest.mark.parametrize("L", [1e200, 1e-300])
+    def test_rejects_length_whose_squares_overflow(self, L):
+        # n L^2 (|x|^2) or n (pi N / (2 L))^2 (|xi|^2) is not a float.
+        with pytest.raises(ValueError, match=re.escape(f"L = {L} gives a squared")):
+            make_grid(2, L, 64)
+
+    def test_rejects_width_too_small_for_the_grid(self):
+        # r^2 / width^2 once overflowed at width = 1e-160 (L = 20).
+        grid = make_grid(1, 20.0, 64)
+        with pytest.raises(ValueError, match="width = 1e-160 is too small"):
+            gaussian_field(grid, 1.0, 1e-160)
+        assert np.isfinite(gaussian_field(grid, 1.0, 1e-150).values).all()
 
     def test_rejects_width_too_large_to_square(self):
         grid = make_grid(1, 20.0, 64)
